@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,24 +24,15 @@ from .domains import (
     ring_mode_centers,
     ring_mode_std,
     save_ppm,
+    with_count,
 )
+from .evaluation import eval_descriptor, eval_frames, evaluate, rasterize_points, run_translator, translate_sequence
 from .langevin import LangevinConfig, revise
 from .metrics import default_feature_map, mode_coverage, psnr
 from .objectives import LossWeights
 from .rng import PURPOSE_DATA, stream
 from .tensor import load_ctns, save_ctns
-from .trainer import (
-    TrainConfig,
-    load_checkpoint,
-    train,
-    translate_sequence,
-    # shared with the training loop so re-evaluation reproduces its rows
-    _eval_descriptor,
-    _eval_frames,
-    _evaluate,
-    _rasterize_points,
-    _run_translator,
-)
+from .trainer import TrainConfig, load_checkpoint, train
 
 __all__ = ["RunConfig", "CONFIG_SPEC", "build_parser", "main"]
 
@@ -203,7 +194,7 @@ def _tile(frames: np.ndarray, columns: int = 8) -> np.ndarray:
 
 def _preview(examples: np.ndarray, kind: str) -> np.ndarray:
     if kind == "points":
-        return _rasterize_points(examples)
+        return rasterize_points(examples)
     if kind == "images":
         return _tile(examples[:16])
     return _tile(examples[0])  # sequences: the first clip, frame by frame
@@ -227,20 +218,12 @@ def _write_like(src: Path, sample: np.ndarray, out_dir: Path) -> Path:
 
 
 def _translate_batch(batch: np.ndarray, g, model, lng: LangevinConfig) -> np.ndarray:
-    moved = _run_translator(g, batch)
+    moved = run_translator(g, batch)
     return moved if lng.steps == 0 else revise(moved, model, lng)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
     return {k: v for k in CONFIG_SPEC if (v := getattr(args, k, None)) is not None}
-
-
-def _with_count(desc: DomainDescriptor, count: int) -> DomainDescriptor:
-    params = dict(desc.params)
-    for key in ("n", "n_seqs"):
-        if key in params:
-            params[key] = count
-    return replace(desc, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +299,20 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     state, cfg, desc_x, desc_y = load_checkpoint(args.checkpoint)
-    ds_x = generate(_eval_descriptor(desc_x, cfg))
-    ds_y = generate(_eval_descriptor(desc_y, cfg))
-    eval_x, eval_y = _eval_frames(ds_x), _eval_frames(ds_y)
+    ds_x = generate(eval_descriptor(desc_x, cfg))
+    ds_y = generate(eval_descriptor(desc_y, cfg))
+    eval_x, eval_y = eval_frames(ds_x), eval_frames(ds_y)
     fm = default_feature_map(ds_x.sample_shape)
-    scores = _evaluate(state, eval_x, eval_y, cfg, fm)
+    scores = evaluate(state, eval_x, eval_y, cfg, fm)
 
     mode_min = mode_unc = float("nan")
     if desc_y.name == "ring":
-        cov = mode_coverage(_run_translator(state.g_xy, eval_x), ring_mode_centers(desc_y), 3.0 * ring_mode_std(desc_y))
+        cov = mode_coverage(run_translator(state.g_xy, eval_x), ring_mode_centers(desc_y), 3.0 * ring_mode_std(desc_y))
         mode_min, mode_unc = float(cov.fractions.min()), cov.uncaptured
 
     pair_psnr = float("nan")
     if ds_x.kind == "sequences" and _motion_paired(desc_x, desc_y):
-        translated = _run_translator(state.g_xy, eval_x)
+        translated = run_translator(state.g_xy, eval_x)
         pair_psnr = float(np.mean([psnr(t, y, 1.0) for t, y in zip(translated, eval_y)]))
 
     row = {
@@ -361,7 +344,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     state, cfg, desc_x, desc_y = load_checkpoint(args.checkpoint)
     desc = desc_x if args.domain == "x" else desc_y
     model = state.ebm_x if args.domain == "x" else state.ebm_y
-    shape = generate(_with_count(desc, 3)).sample_shape
+    shape = generate(with_count(desc, 3)).sample_shape
     lng = LangevinConfig(
         steps=cfg.langevin.steps if args.steps is None else args.steps,
         step_size=cfg.langevin.step_size if args.step_size is None else args.step_size,
@@ -374,7 +357,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_ctns(samples, out / "samples.ctns")
-    grid = _rasterize_points(samples) if samples.ndim == 2 else _tile(samples)
+    grid = rasterize_points(samples) if samples.ndim == 2 else _tile(samples)
     save_ppm(grid, out / "samples.ppm")
     print(f"wrote {args.count} samples to {out}")
     return 0

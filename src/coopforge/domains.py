@@ -9,7 +9,7 @@ so nothing is paired by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "gen_moving_dot",
     "expected_shape_area",
     "generate",
+    "with_count",
     "descriptor_line",
     "parse_descriptor",
     "ring_mode_centers",
@@ -355,6 +356,15 @@ def generate(desc: DomainDescriptor) -> DomainDataset:
     if unknown:
         raise ValueError(f"{desc.name}: unknown parameters {sorted(unknown)}")
     return fn(seed=desc.seed, **desc.params)
+
+
+def with_count(desc: DomainDescriptor, count: int) -> DomainDescriptor:
+    """The same descriptor with its example count (``n`` or ``n_seqs``) set to ``count``."""
+    params = dict(desc.params)
+    for key in ("n", "n_seqs"):
+        if key in params:
+            params[key] = count
+    return replace(desc, params=params)
 
 
 def descriptor_line(desc: DomainDescriptor) -> str:

@@ -59,10 +59,6 @@ class Net:
         self.params[local] = t
         return t
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.params.items()}
 
@@ -75,9 +71,6 @@ class Net:
             if arr.shape != p.data.shape:
                 raise T.ShapeError(f"{self.name}.{k}: expected {p.data.shape}, got {arr.shape}")
             p.data[...] = arr
-
-    def n_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "temporal_loss",
     "spatiotemporal_loss",
     "combine_sequence_losses",
+    "image_objective",
     "sequence_objective",
     "SequenceNets",
     "SequenceBatches",
@@ -106,6 +107,19 @@ def cycle_loss(g_xy: Net, g_yx: Net, x_batch, y_batch) -> Tensor:
     term_x = T.sub(x, x_round).l1_norm() * (1.0 / x.shape[0])
     term_y = T.sub(y, y_round).l1_norm() * (1.0 / y.shape[0])
     return term_x + term_y
+
+
+def image_objective(g_xy: Net, g_yx: Net, x_batch, y_batch, x_targets, y_targets, w: LossWeights) -> Tensor:
+    """Joint objective of the two translators on unpaired batches.
+
+    teach(G_yx: y_batch -> x_targets) + teach(G_xy: x_batch -> y_targets)
+    + lambda_cyc * cycle(x_batch, y_batch); the cycle term is left out of
+    the tape when its weight is zero.
+    """
+    loss = teach_loss(g_yx, y_batch, x_targets) + teach_loss(g_xy, x_batch, y_targets)
+    if w.lambda_cyc > 0:
+        loss = loss + w.lambda_cyc * cycle_loss(g_xy, g_yx, x_batch, y_batch)
+    return loss
 
 
 def _split_clips(clips, k: int) -> tuple[list[Tensor], Tensor]:

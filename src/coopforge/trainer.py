@@ -1,11 +1,14 @@
 """Alternating cooperative training of the two translator/energy pairs.
 
-Each iteration runs a fixed phase order: sample batches, translate them,
-revise the translations by Langevin dynamics, ascend the two energy models
-on their data-vs-synthesis gradient, then descend the translators (and the
-temporal predictors in sequence mode) on the teaching objective. Energy
-updates always precede translator updates, and every gradient inside a
-phase is taken at the phase-start parameters.
+Both modes run one phase pipeline: translate the sampled batches, revise
+the translations by Langevin dynamics, ascend the two energy models on
+their data-vs-synthesis gradient, then take one descent step of the
+translators (and the temporal predictors in sequence mode) on the mode's
+objective. Energy updates always precede translator updates, and every
+gradient inside a phase is taken at the phase-start parameters. A mode
+supplies only its batches, its objective (``image_objective`` or
+``sequence_objective``) and the optimizer groups that objective trains;
+a failed phase rolls the whole iteration back.
 
 Everything the loop consumes is keyed by (seed, iteration) through
 counter-based streams, so a checkpoint needs to store only plain integers
@@ -16,24 +19,25 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate, parse_descriptor, save_ppm
+from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate, parse_descriptor, with_count
+from .evaluation import eval_descriptor, eval_frames, evaluate, run_translator, write_grid
 from .langevin import LangevinConfig, LangevinDiverged, revise
-from .metrics import FeatureMap, cycle_error, default_feature_map, frechet_distance
+from .metrics import default_feature_map
 from .networks import EnergyModel, Net, TemporalPredictor, build_scorer, build_translator
 from .objectives import (
     LossWeights,
-    combine_sequence_losses,
+    SequenceBatches,
+    SequenceNets,
     cycle_loss,
     ebm_grad,
-    spatiotemporal_loss,
-    teach_loss,
-    temporal_loss,
+    image_objective,
+    sequence_objective,
 )
 from .rng import data_stream
 from .tensor import Graph, Tensor, backward, load_ctns, save_ctns
@@ -47,20 +51,13 @@ __all__ = [
     "adam_step",
     "init_state",
     "load_checkpoint",
-    "refinement_scores",
     "save_checkpoint",
     "train",
     "train_iteration",
     "train_sequence_iteration",
-    "translate_sequence",
 ]
 
 METRICS_HEADER = "iter,fd_x,fd_y,cycle_err,energy_init,energy_revised,teach_loss,seconds"
-
-# Held-out evaluation material never shares streams with training: eval
-# datasets shift the descriptor seed, eval-time revision shifts the noise
-# seed, both by this constant.
-_EVAL_SEED_SHIFT = 9973
 
 
 @dataclass(frozen=True)
@@ -200,12 +197,16 @@ def _init_slots(params: dict[str, Tensor]) -> AdamSlots:
     )
 
 
-def _apply_adam(slots: AdamSlots, params: dict[str, Tensor], grads: dict[str, np.ndarray], rate: float) -> None:
+def _apply_adam(state: TrainState, group: str, grads: dict[str, np.ndarray], rate: float, phase: str) -> None:
+    """One Adam step of an optimizer group; a non-finite result fails ``phase``."""
+    slots = state.opt[group]
     slots.count += 1
-    for name, p in params.items():
+    for name, p in state.groups()[group].items():
         p.data, (slots.m[name], slots.v[name]) = adam_step(
             p.data, grads[name], (slots.m[name], slots.v[name]), rate, slots.count
         )
+        if not np.isfinite(p.data).all():
+            raise TrainPhaseError(phase, f"non-finite parameter {group}.{name} after update")
 
 
 # ---------------------------------------------------------------------------
@@ -256,99 +257,93 @@ def _rollback(state: TrainState, snap) -> None:
         s.m, s.v, s.count = moments[g]
 
 
-def _check_group_finite(state: TrainState, snap, names: tuple[str, ...], phase: str) -> None:
-    groups = state.groups()
-    for g in names:
-        for k, p in groups[g].items():
-            if not np.isfinite(p.data).all():
-                _rollback(state, snap)
-                raise TrainPhaseError(phase, f"non-finite parameter {g}.{k} after update")
-
-
-def _run_translator(net: Net, batch: np.ndarray) -> np.ndarray:
-    """Translate outside any recording graph (eval-mode forward)."""
-    return net.forward(Tensor(np.ascontiguousarray(batch))).data
-
-
 # ---------------------------------------------------------------------------
-# One iteration, image/point mode
+# One iteration: the phase pipeline and the two modes that feed it
 # ---------------------------------------------------------------------------
 
 
-def _revise_or_abort(state: TrainState, snap, x0: np.ndarray, model: EnergyModel, cfg: TrainConfig, offset: int, phase: str) -> np.ndarray:
+def _revise_or_abort(x0: np.ndarray, model: EnergyModel, cfg: TrainConfig, offset: int, phase: str) -> np.ndarray:
     try:
         return revise(x0, model, cfg.langevin, chain_offset=offset)
     except LangevinDiverged as err:
-        _rollback(state, snap)
         raise TrainPhaseError(phase, str(err)) from err
 
 
-def _ebm_update(state: TrainState, snap, model: EnergyModel, group: str, data: np.ndarray, synth: np.ndarray, rate: float) -> None:
+def _ebm_update(state: TrainState, model: EnergyModel, group: str, data: np.ndarray, synth: np.ndarray, rate: float) -> None:
     grads = ebm_grad(model, data, synth)
     for name, g in grads.items():
         if not np.isfinite(g).all():
-            _rollback(state, snap)
             raise TrainPhaseError(group, f"non-finite energy gradient for {name}")
     # ascent on the estimator: Adam descends, so feed the negation
-    _apply_adam(state.opt[group], model.params, {k: -g for k, g in grads.items()}, rate)
-    _check_group_finite(state, snap, (group,), group)
+    _apply_adam(state, group, {k: -g for k, g in grads.items()}, rate, group)
 
 
-def _iteration_stats(state: TrainState, x_hat, x_tilde, y_hat, y_tilde, teach: float) -> None:
+def _iteration_stats(state: TrainState, x_hat, x_tilde, y_hat, y_tilde) -> None:
     e_init = 0.5 * (state.ebm_x.energy_values(x_hat).mean() + state.ebm_y.energy_values(y_hat).mean())
     e_rev = 0.5 * (state.ebm_x.energy_values(x_tilde).mean() + state.ebm_y.energy_values(y_tilde).mean())
-    state.last = {"energy_init": float(e_init), "energy_revised": float(e_rev), "teach_loss": teach}
+    # the teaching losses from the outputs in hand, added in float32 as the objective adds them
+    teach_x = T.sub(Tensor(x_tilde), Tensor(x_hat)).sq_norm() * (1.0 / len(x_hat))
+    teach_y = T.sub(Tensor(y_tilde), Tensor(y_hat)).sq_norm() * (1.0 / len(y_hat))
+    state.last = {"energy_init": float(e_init), "energy_revised": float(e_rev), "teach_loss": float(teach_x.data + teach_y.data)}
+
+
+def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data: np.ndarray, objective, descend) -> TrainState:
+    """Translate, revise, update both energy models, then descend ``objective``.
+
+    ``x_data``/``y_data`` are equal-length batches of examples or frames;
+    ``objective(x_tilde, y_tilde)`` builds the loss on the revised targets,
+    and ``descend`` maps the optimizer groups it trains to their rates. A
+    failed phase restores the starting parameters and moments.
+    """
+    t = state.t
+    snap = _snapshot(state)
+    try:
+        x_hat = run_translator(state.g_yx, y_data)
+        y_hat = run_translator(state.g_xy, x_data)
+
+        n = len(y_data)
+        x_tilde = _revise_or_abort(x_hat, state.ebm_x, cfg, 2 * t * n, "langevin_x")
+        y_tilde = _revise_or_abort(y_hat, state.ebm_y, cfg, (2 * t + 1) * n, "langevin_y")
+
+        _ebm_update(state, state.ebm_x, "theta_x", x_data, x_tilde, cfg.lr_theta_x)
+        _ebm_update(state, state.ebm_y, "theta_y", y_data, y_tilde, cfg.lr_theta_y)
+
+        groups = state.groups()
+        for group in descend:
+            for p in groups[group].values():
+                p.zero_grad()
+        with Graph() as graph:
+            loss = objective(x_tilde, y_tilde)
+        if not np.isfinite(loss.data):
+            raise TrainPhaseError("alpha", f"non-finite translator loss {loss.data!r}")
+        backward(graph, loss)
+        for group, rate in descend.items():
+            _apply_adam(state, group, {k: p.grad for k, p in groups[group].items()}, rate, "alpha")
+    except TrainPhaseError:
+        _rollback(state, snap)
+        raise
+
+    _iteration_stats(state, x_hat, x_tilde, y_hat, y_tilde)
+    state.t = t + 1
+    return state
 
 
 def train_iteration(state: TrainState, data_x: np.ndarray, data_y: np.ndarray, cfg: TrainConfig) -> TrainState:
     """One alternating-teaching iteration on unpaired batches.
 
-    Order: sample y, translate to x-hat; sample x, translate to y-hat;
-    revise both against their energy models; ascend theta_x then theta_y;
-    descend both translators on teaching plus weighted cycle loss, with
-    all translator gradients taken at the phase-start parameters.
+    Samples a batch from each domain and runs the phase pipeline; the
+    translators descend ``image_objective``: teaching in both directions
+    plus the weighted cycle loss.
     """
     if len(data_x) == 0 or len(data_y) == 0:
         raise ValueError("datasets must be non-empty")
-    t = state.t
-    snap = _snapshot(state)
+    y_batch = data_y[data_stream(cfg.seed, state.t, phase=0).integers(0, len(data_y), size=cfg.batch)]
+    x_batch = data_x[data_stream(cfg.seed, state.t, phase=1).integers(0, len(data_x), size=cfg.batch)]
 
-    y_batch = data_y[data_stream(cfg.seed, t, phase=0).integers(0, len(data_y), size=cfg.batch)]
-    x_hat = _run_translator(state.g_yx, y_batch)
-    x_batch = data_x[data_stream(cfg.seed, t, phase=1).integers(0, len(data_x), size=cfg.batch)]
-    y_hat = _run_translator(state.g_xy, x_batch)
+    def objective(x_tilde, y_tilde):
+        return image_objective(state.g_xy, state.g_yx, x_batch, y_batch, x_tilde, y_tilde, cfg.weights)
 
-    offset = 2 * t * cfg.batch
-    x_tilde = _revise_or_abort(state, snap, x_hat, state.ebm_x, cfg, offset, "langevin_x")
-    y_tilde = _revise_or_abort(state, snap, y_hat, state.ebm_y, cfg, offset + cfg.batch, "langevin_y")
-
-    _ebm_update(state, snap, state.ebm_x, "theta_x", x_batch, x_tilde, cfg.lr_theta_x)
-    _ebm_update(state, snap, state.ebm_y, "theta_y", y_batch, y_tilde, cfg.lr_theta_y)
-
-    state.g_xy.zero_grads()
-    state.g_yx.zero_grads()
-    with Graph() as graph:
-        teach_x = teach_loss(state.g_yx, y_batch, x_tilde)
-        teach_y = teach_loss(state.g_xy, x_batch, y_tilde)
-        loss = teach_x + teach_y
-        if cfg.weights.lambda_cyc > 0:
-            loss = loss + cfg.weights.lambda_cyc * cycle_loss(state.g_xy, state.g_yx, x_batch, y_batch)
-    if not np.isfinite(loss.data):
-        _rollback(state, snap)
-        raise TrainPhaseError("alpha", f"non-finite translator loss {loss.data!r}")
-    backward(graph, loss)
-    _apply_adam(state.opt["alpha_x"], state.g_yx.params, {k: p.grad.copy() for k, p in state.g_yx.params.items()}, cfg.lr_alpha_x)
-    _apply_adam(state.opt["alpha_y"], state.g_xy.params, {k: p.grad.copy() for k, p in state.g_xy.params.items()}, cfg.lr_alpha_y)
-    _check_group_finite(state, snap, ("alpha_x", "alpha_y"), "alpha")
-
-    _iteration_stats(state, x_hat, x_tilde, y_hat, y_tilde, float(teach_x.data + teach_y.data))
-    state.t = t + 1
-    return state
-
-
-# ---------------------------------------------------------------------------
-# One iteration, sequence mode
-# ---------------------------------------------------------------------------
+    return _run_phases(state, cfg, x_batch, y_batch, objective, {"alpha_x": cfg.lr_alpha_x, "alpha_y": cfg.lr_alpha_y})
 
 
 def _sample_clips(seqs: np.ndarray, gen, count: int, k: int) -> np.ndarray:
@@ -368,75 +363,28 @@ def _frames(clips: np.ndarray) -> np.ndarray:
 def train_sequence_iteration(state: TrainState, seq_x: np.ndarray, seq_y: np.ndarray, cfg: TrainConfig) -> TrainState:
     """One iteration of the sequence variant.
 
-    The energy phase is the image phase applied to the individual frames
-    of the sampled clips. The translator phase jointly descends both
-    translators and both temporal predictors on teaching plus the
-    weighted temporal and round-trip prediction terms; the plain cycle
-    term is off unless ``cfg.sequence_cycle`` asks for it.
+    Samples k+1 frame clips from each domain and runs the phase pipeline on
+    their frames. Both translators and both temporal predictors jointly
+    descend ``sequence_objective``: teaching plus the weighted temporal and
+    round-trip prediction terms; the plain cycle term is added only when
+    ``cfg.sequence_cycle`` asks for it.
     """
     if state.r_x is None or state.r_y is None:
         raise ValueError("state has no temporal predictors; build it from sequence datasets")
-    t = state.t
-    snap = _snapshot(state)
+    y_clips = _sample_clips(seq_y, data_stream(cfg.seed, state.t, phase=0), cfg.batch, cfg.k)
+    x_clips = _sample_clips(seq_x, data_stream(cfg.seed, state.t, phase=1), cfg.batch, cfg.k)
+    x_frames, y_frames = _frames(x_clips), _frames(y_clips)
+    nets = SequenceNets(state.g_xy, state.g_yx, state.r_x, state.r_y)
 
-    y_clips = _sample_clips(seq_y, data_stream(cfg.seed, t, phase=0), cfg.batch, cfg.k)
-    y_frames = _frames(y_clips)
-    x_hat = _run_translator(state.g_yx, y_frames)
-    x_clips = _sample_clips(seq_x, data_stream(cfg.seed, t, phase=1), cfg.batch, cfg.k)
-    x_frames = _frames(x_clips)
-    y_hat = _run_translator(state.g_xy, x_frames)
-
-    per_dir = cfg.batch * (cfg.k + 1)
-    offset = 2 * t * per_dir
-    x_tilde = _revise_or_abort(state, snap, x_hat, state.ebm_x, cfg, offset, "langevin_x")
-    y_tilde = _revise_or_abort(state, snap, y_hat, state.ebm_y, cfg, offset + per_dir, "langevin_y")
-
-    _ebm_update(state, snap, state.ebm_x, "theta_x", x_frames, x_tilde, cfg.lr_theta_x)
-    _ebm_update(state, snap, state.ebm_y, "theta_y", y_frames, y_tilde, cfg.lr_theta_y)
-
-    for net in (state.g_xy, state.g_yx, state.r_x, state.r_y):
-        net.zero_grads()
-    with Graph() as graph:
-        teach_x = teach_loss(state.g_yx, y_frames, x_tilde)
-        teach_y = teach_loss(state.g_xy, x_frames, y_tilde)
-        tp_x = temporal_loss(state.r_x, x_clips)
-        tp_y = temporal_loss(state.r_y, y_clips)
-        st_x = spatiotemporal_loss(state.g_xy, state.r_y, state.g_yx, x_clips)
-        st_y = spatiotemporal_loss(state.g_yx, state.r_x, state.g_xy, y_clips)
-        loss = combine_sequence_losses(teach_x, teach_y, tp_x, tp_y, st_x, st_y, cfg.weights)
+    def objective(x_tilde, y_tilde):
+        batches = SequenceBatches(y_frames, x_tilde, x_frames, y_tilde, x_clips, y_clips)
+        loss = sequence_objective(nets, batches, cfg.weights)
         if cfg.sequence_cycle and cfg.weights.lambda_cyc > 0:
             loss = loss + cfg.weights.lambda_cyc * cycle_loss(state.g_xy, state.g_yx, x_frames, y_frames)
-    if not np.isfinite(loss.data):
-        _rollback(state, snap)
-        raise TrainPhaseError("alpha", f"non-finite sequence loss {loss.data!r}")
-    backward(graph, loss)
-    for group, net, rate in (
-        ("alpha_x", state.g_yx, cfg.lr_alpha_x),
-        ("alpha_y", state.g_xy, cfg.lr_alpha_y),
-        ("rho_x", state.r_x, cfg.lr_alpha_x),
-        ("rho_y", state.r_y, cfg.lr_alpha_y),
-    ):
-        _apply_adam(state.opt[group], net.params, {k: p.grad.copy() for k, p in net.params.items()}, rate)
-    _check_group_finite(state, snap, ("alpha_x", "alpha_y", "rho_x", "rho_y"), "alpha")
+        return loss
 
-    _iteration_stats(state, x_hat, x_tilde, y_hat, y_tilde, float(teach_x.data + teach_y.data))
-    state.t = t + 1
-    return state
-
-
-def translate_sequence(frames: np.ndarray, g: Net, p: EnergyModel, cfg: LangevinConfig) -> np.ndarray:
-    """Frame-wise translation followed by Langevin revision.
-
-    (T, C, H, W) in, (T, C, H, W) out; steps = 0 returns the pure
-    translator output.
-    """
-    arr = np.asarray(frames)
-    if arr.ndim != 4 or arr.shape[0] == 0:
-        raise T.ShapeError(f"expected a (T, C, H, W) sequence, got {arr.shape}")
-    moved = _run_translator(g, arr)
-    if cfg.steps == 0:
-        return moved
-    return revise(moved, p, cfg)
+    descend = {"alpha_x": cfg.lr_alpha_x, "alpha_y": cfg.lr_alpha_y, "rho_x": cfg.lr_alpha_x, "rho_y": cfg.lr_alpha_y}
+    return _run_phases(state, cfg, x_frames, y_frames, objective, descend)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +438,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, Do
     cfg = _config_from_dict(manifest["config"])
     desc_x = parse_descriptor(manifest["domain_x"])
     desc_y = parse_descriptor(manifest["domain_y"])
-    state = init_state(cfg, generate(desc_x), generate(desc_y))
+    # three examples per domain fix the networks' shapes; the data is not needed
+    state = init_state(cfg, generate(with_count(desc_x, 3)), generate(with_count(desc_y, 3)))
     for net_name, net in state.nets().items():
         stored = set(manifest["params"][net_name])
         if stored != set(net.params):
@@ -503,83 +452,6 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, Do
             slots.v[k] = load_ctns(root / "adam" / group / f"{k}.v.ctns").data
     state.t = manifest["iteration"]
     return state, cfg, desc_x, desc_y
-
-
-# ---------------------------------------------------------------------------
-# Evaluation and sample grids
-# ---------------------------------------------------------------------------
-
-
-def _eval_descriptor(desc: DomainDescriptor, cfg: TrainConfig) -> DomainDescriptor:
-    params = dict(desc.params)
-    for key in ("n", "n_seqs"):
-        if key in params:
-            params[key] = cfg.eval_samples
-    return replace(desc, params=params, seed=desc.seed + _EVAL_SEED_SHIFT)
-
-
-def _eval_frames(ds: DomainDataset) -> np.ndarray:
-    if ds.kind == "sequences":
-        return _frames(ds.examples)
-    return ds.examples
-
-
-def _eval_langevin(cfg: TrainConfig) -> LangevinConfig:
-    return replace(cfg.langevin, seed=cfg.langevin.seed + _EVAL_SEED_SHIFT)
-
-
-def _evaluate(state: TrainState, eval_x: np.ndarray, eval_y: np.ndarray, cfg: TrainConfig, fm: FeatureMap) -> dict:
-    """Held-out metrics: directional distances plus the round-trip error."""
-    to_y = _run_translator(state.g_xy, eval_x)
-    to_x = _run_translator(state.g_yx, eval_y)
-    return {
-        "fd_x": frechet_distance(to_y, eval_y, fm),
-        "fd_y": frechet_distance(to_x, eval_x, fm),
-        "cycle_err": cycle_error(state.g_xy, state.g_yx, eval_x, eval_y),
-    }
-
-
-def refinement_scores(state: TrainState, eval_x: np.ndarray, eval_y: np.ndarray, cfg: TrainConfig, fm: FeatureMap) -> dict:
-    """Fréchet distances before and after revising the translated batches.
-
-    The margin fd_init - fd_revised measures what the energy models add on
-    top of the raw translators; revision noise is keyed by the shifted eval
-    seed, so repeated calls at the same state agree bitwise.
-    """
-    lng = _eval_langevin(cfg)
-    to_y = _run_translator(state.g_xy, eval_x)
-    to_x = _run_translator(state.g_yx, eval_y)
-    return {
-        "fd_init_x": frechet_distance(to_y, eval_y, fm),
-        "fd_init_y": frechet_distance(to_x, eval_x, fm),
-        "fd_revised_x": frechet_distance(revise(to_y, state.ebm_y, lng), eval_y, fm),
-        "fd_revised_y": frechet_distance(revise(to_x, state.ebm_x, lng), eval_x, fm),
-    }
-
-
-def _rasterize_points(points: np.ndarray, side: int = 64, extent: float = 3.0) -> np.ndarray:
-    """Scatter plot as a (side, side) intensity image on [-extent, extent]^2."""
-    canvas = np.zeros((side, side), dtype=np.float32)
-    scaled = (points + extent) / (2.0 * extent) * (side - 1)
-    idx = np.clip(np.round(scaled).astype(int), 0, side - 1)
-    canvas[side - 1 - idx[:, 1], idx[:, 0]] = 1.0
-    return canvas
-
-
-def _write_grid(state: TrainState, eval_x: np.ndarray, cfg: TrainConfig, path: Path, kind: str) -> None:
-    """Input | translated | revised triptych, rows of samples, display-clamped."""
-    lng = _eval_langevin(cfg)
-    if kind == "points":
-        moved = _run_translator(state.g_xy, eval_x)
-        revised = revise(moved, state.ebm_y, lng)
-        panels = [_rasterize_points(p) for p in (eval_x, moved, revised)]
-        save_ppm(np.concatenate(panels, axis=1), path)
-        return
-    frames = eval_x[:6] if kind == "images" else eval_x[:6, 0]
-    moved = _run_translator(state.g_xy, frames)
-    revised = revise(moved, state.ebm_y, lng)
-    rows = [np.concatenate([a, b, c], axis=2) for a, b, c in zip(frames, moved, revised)]
-    save_ppm(np.clip(np.concatenate(rows, axis=1), 0.0, 1.0), path)
 
 
 # ---------------------------------------------------------------------------
@@ -619,17 +491,18 @@ def train(
     else:
         state = init_state(cfg, ds_x, ds_y)
 
-    eval_x_ds = generate(_eval_descriptor(desc_x, cfg))
-    eval_y_ds = generate(_eval_descriptor(desc_y, cfg))
-    eval_x, eval_y = _eval_frames(eval_x_ds), _eval_frames(eval_y_ds)
+    eval_x_ds = generate(eval_descriptor(desc_x, cfg))
+    eval_y_ds = generate(eval_descriptor(desc_y, cfg))
+    eval_x, eval_y = eval_frames(eval_x_ds), eval_frames(eval_y_ds)
     fm = default_feature_map(ds_x.sample_shape)
 
+    # a resumed run keeps the rows up to its checkpoint and rewrites the rest
     metrics_path = out / "metrics.csv"
-    fresh = resume_from is None or not metrics_path.exists()
+    rows = metrics_path.read_text().splitlines()[1:] if resume_from is not None and metrics_path.exists() else []
     start = time.perf_counter()
-    with open(metrics_path, "w" if fresh else "a") as mf:
-        if fresh:
-            mf.write(METRICS_HEADER + "\n")
+    with open(metrics_path, "w") as mf:
+        mf.write(METRICS_HEADER + "\n")
+        mf.writelines(row + "\n" for row in rows if int(row.split(",", 1)[0]) <= state.t)
         while state.t < cfg.iterations:
             if sequence:
                 train_sequence_iteration(state, ds_x.examples, ds_y.examples, cfg)
@@ -637,7 +510,7 @@ def train(
                 train_iteration(state, ds_x.examples, ds_y.examples, cfg)
             it = state.t
             if it % cfg.eval_every == 0 or it == cfg.iterations:
-                scores = _evaluate(state, eval_x, eval_y, cfg, fm)
+                scores = evaluate(state, eval_x, eval_y, cfg, fm)
                 seconds = time.perf_counter() - start
                 mf.write(
                     f"{it},{_fmt(scores['fd_x'])},{_fmt(scores['fd_y'])},{_fmt(scores['cycle_err'])},"
@@ -647,5 +520,5 @@ def train(
                 mf.flush()
             if it % cfg.checkpoint_every == 0 or it == cfg.iterations:
                 save_checkpoint(state, cfg, desc_x, desc_y, out)
-    _write_grid(state, eval_x_ds.examples, cfg, out / "grid_final.ppm", ds_x.kind)
+    write_grid(state, eval_x_ds.examples, cfg, out / "grid_final.ppm", ds_x.kind)
     return state, metrics_path

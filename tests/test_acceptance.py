@@ -47,20 +47,19 @@ from coopforge.objectives import (
     combine_sequence_losses,
     cycle_loss,
     ebm_grad,
+    image_objective,
     sequence_objective,
     teach_loss,
 )
-from coopforge.tensor import Tensor, grad_check, load_ctns, save_ctns
-from coopforge.trainer import (
-    _eval_descriptor,
-    _eval_langevin,
-    _run_translator,
-    init_state,
-    load_checkpoint,
+from coopforge.evaluation import (
+    eval_descriptor as _eval_descriptor,
+    eval_langevin as _eval_langevin,
     refinement_scores,
-    train,
+    run_translator as _run_translator,
     translate_sequence,
 )
+from coopforge.tensor import Tensor, grad_check, load_ctns, save_ctns
+from coopforge.trainer import init_state, load_checkpoint, train
 from util import AddConstant
 
 
@@ -185,9 +184,7 @@ def _composite_loss_cases():
         "cycle": (both, lambda: cycle_loss(g_xy, g_yx, xb, yb), 1e-3),
         "image_objective": (
             both,
-            lambda: teach_loss(g_yx, yb, tgt)
-            + teach_loss(g_xy, xb, src)
-            + weights.lambda_cyc * cycle_loss(g_xy, g_yx, xb, yb),
+            lambda: image_objective(g_xy, g_yx, xb, yb, tgt, src, weights),
             1e-3,
         ),
         "sequence_objective": (

@@ -9,7 +9,8 @@ import pytest
 from coopforge.cli import CONFIG_SPEC, RunConfig, main
 from coopforge.domains import descriptor_line, generate, load_ppm, parse_descriptor, save_ppm
 from coopforge.tensor import load_ctns, save_ctns
-from coopforge.trainer import TrainConfig, _run_translator, init_state, load_checkpoint, save_checkpoint
+from coopforge.evaluation import run_translator
+from coopforge.trainer import TrainConfig, init_state, load_checkpoint, save_checkpoint
 
 RING_X_LINE = "ring n=64 modes=8 radius=1.6 mode_std=0.15 rotation=0.0 scale=1.0 seed=1"
 RING_Y_LINE = "ring n=64 modes=8 radius=1.6 mode_std=0.15 rotation=0.15 scale=0.6 seed=2"
@@ -230,7 +231,7 @@ def test_translate_zero_steps_is_pure_translator(ring_run, tmp_path):
     )
     assert rc == 0
     state, _, _, _ = load_checkpoint(ring_run["ckpt"])
-    expected = _run_translator(state.g_xy, points)
+    expected = run_translator(state.g_xy, points)
     np.testing.assert_array_equal(load_ctns(out / "input.ctns").data, expected)
 
 

@@ -5,11 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from coopforge import trainer
 from coopforge.domains import DomainDescriptor, generate
-from coopforge.langevin import LangevinConfig
-from coopforge.objectives import LossWeights, teach_loss, temporal_loss, spatiotemporal_loss
+from coopforge.evaluation import refinement_scores, run_translator, translate_sequence
+from coopforge.langevin import LangevinConfig, revise
+from coopforge.objectives import (
+    LossWeights,
+    SequenceBatches,
+    SequenceNets,
+    sequence_objective,
+    spatiotemporal_loss,
+    temporal_loss,
+)
 from coopforge.rng import data_stream
-from coopforge.tensor import Graph, ShapeError, backward
+from coopforge.tensor import Graph, ShapeError, Tensor, backward
 from coopforge.trainer import (
     METRICS_HEADER,
     TrainConfig,
@@ -21,7 +30,6 @@ from coopforge.trainer import (
     train,
     train_iteration,
     train_sequence_iteration,
-    translate_sequence,
 )
 
 RING_X = DomainDescriptor(
@@ -64,6 +72,13 @@ def dot_cfg(**over) -> TrainConfig:
 
 def all_params(state) -> dict:
     return {f"{n}.{k}": p.data.copy() for n, net in state.nets().items() for k, p in net.params.items()}
+
+
+def all_moments(state) -> dict:
+    return {
+        g: ({k: a.copy() for k, a in s.m.items()}, {k: a.copy() for k, a in s.v.items()}, s.count)
+        for g, s in state.opt.items()
+    }
 
 
 # ---------------------------------------------------------------- adam_step
@@ -235,13 +250,56 @@ def test_divergence_rolls_back_and_tags_phase():
     assert state.t == 1
 
 
+@pytest.mark.parametrize(
+    "step, objective, pair, make_cfg",
+    [
+        (train_iteration, "image_objective", (RING_X, RING_Y), ring_cfg),
+        (train_sequence_iteration, "sequence_objective", (DOT_X, DOT_Y), dot_cfg),
+    ],
+    ids=["points", "sequences"],
+)
+def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step, objective, pair, make_cfg):
+    # the loss check comes after both energy models were updated, so the
+    # rollback must also undo theta_x/theta_y and their moments
+    cfg = make_cfg()
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state = init_state(cfg, dsx, dsy)
+    step(state, dsx.examples, dsy.examples, cfg)  # one clean step: non-zero moments
+    params, moments = all_params(state), all_moments(state)
+    seen = {}
+
+    def nan_objective(*args, **kwargs):
+        seen.update(all_params(state))
+        return Tensor(np.float32(np.nan))
+
+    monkeypatch.setattr(trainer, objective, nan_objective)
+    with pytest.raises(TrainPhaseError) as err:
+        step(state, dsx.examples, dsy.examples, cfg)
+    assert err.value.phase == "alpha"
+    for net in ("ebm_x", "ebm_y"):
+        assert any(not np.array_equal(seen[k], params[k]) for k in params if k.startswith(net + "."))
+    after = all_params(state)
+    assert set(after) == set(params)
+    for k in params:
+        assert after[k].tobytes() == params[k].tobytes(), k
+    restored = all_moments(state)
+    assert set(restored) == set(moments)
+    for g, (m, v, count) in moments.items():
+        assert restored[g][2] == count, g
+        for k in m:
+            assert restored[g][0][k].tobytes() == m[k].tobytes(), (g, k)
+            assert restored[g][1][k].tobytes() == v[k].tobytes(), (g, k)
+    assert state.t == 1
+
+
 # ---------------------------------------------------------------- sequence mode
 
 
-def test_sequence_zero_lambdas_match_teach_only_update():
-    # with both lambdas zero the joint update must equal a teach-only
-    # translator update; the predictors receive zero gradient and stay put
-    cfg = dot_cfg(weights=LossWeights(lambda_cyc=9, lambda1=0, lambda2=0))
+@pytest.mark.parametrize("lambda1, lambda2", [(0, 0), (9, 9)])
+def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2):
+    # the joint update equals one Adam step on sequence_objective over the
+    # replayed batches; at zero lambdas the predictors get zero gradient
+    cfg = dot_cfg(weights=LossWeights(lambda_cyc=9, lambda1=lambda1, lambda2=lambda2))
     dsx, dsy = generate(DOT_X), generate(DOT_Y)
     state = init_state(cfg, dsx, dsy)
     twin = init_state(cfg, dsx, dsy)
@@ -249,34 +307,32 @@ def test_sequence_zero_lambdas_match_teach_only_update():
 
     train_sequence_iteration(state, dsx.examples, dsy.examples, cfg)
 
-    # naive reference: replay the same streams, run only the teach terms
-    from coopforge.trainer import _apply_adam, _frames, _revise_or_abort, _run_translator, _sample_clips, _snapshot
+    # reference: replay the same streams and descend the objective directly
+    from coopforge.trainer import _apply_adam, _frames, _sample_clips
 
     t = twin.t
-    snap = _snapshot(twin)
     y_clips = _sample_clips(dsy.examples, data_stream(cfg.seed, t, phase=0), cfg.batch, cfg.k)
-    y_frames = _frames(y_clips)
-    x_hat = _run_translator(twin.g_yx, y_frames)
     x_clips = _sample_clips(dsx.examples, data_stream(cfg.seed, t, phase=1), cfg.batch, cfg.k)
-    x_frames = _frames(x_clips)
-    y_hat = _run_translator(twin.g_xy, x_frames)
+    x_frames, y_frames = _frames(x_clips), _frames(y_clips)
     per_dir = cfg.batch * (cfg.k + 1)
-    x_tilde = _revise_or_abort(twin, snap, x_hat, twin.ebm_x, cfg, 0, "langevin_x")
-    y_tilde = _revise_or_abort(twin, snap, y_hat, twin.ebm_y, cfg, per_dir, "langevin_y")
-    twin.g_xy.zero_grads()
-    twin.g_yx.zero_grads()
+    x_tilde = revise(run_translator(twin.g_yx, y_frames), twin.ebm_x, cfg.langevin, chain_offset=0)
+    y_tilde = revise(run_translator(twin.g_xy, x_frames), twin.ebm_y, cfg.langevin, chain_offset=per_dir)
+    nets = SequenceNets(twin.g_xy, twin.g_yx, twin.r_x, twin.r_y)
     with Graph() as graph:
-        loss = teach_loss(twin.g_yx, y_frames, x_tilde) + teach_loss(twin.g_xy, x_frames, y_tilde)
+        loss = sequence_objective(
+            nets, SequenceBatches(y_frames, x_tilde, x_frames, y_tilde, x_clips, y_clips), cfg.weights
+        )
     backward(graph, loss)
-    _apply_adam(twin.opt["alpha_x"], twin.g_yx.params, {k: p.grad.copy() for k, p in twin.g_yx.params.items()}, cfg.lr_alpha_x)
-    _apply_adam(twin.opt["alpha_y"], twin.g_xy.params, {k: p.grad.copy() for k, p in twin.g_xy.params.items()}, cfg.lr_alpha_y)
+    groups = twin.groups()
+    for group, rate in (("alpha_x", cfg.lr_alpha_x), ("alpha_y", cfg.lr_alpha_y), ("rho_x", cfg.lr_alpha_x), ("rho_y", cfg.lr_alpha_y)):
+        _apply_adam(twin, group, {k: p.grad.copy() for k, p in groups[group].items()}, rate, "alpha")
 
-    for k, p in state.g_yx.params.items():
-        np.testing.assert_array_equal(p.data, twin.g_yx.params[k].data, err_msg=k)
-    for k, p in state.g_xy.params.items():
-        np.testing.assert_array_equal(p.data, twin.g_xy.params[k].data, err_msg=k)
-    for k, p in state.r_x.params.items():
-        np.testing.assert_array_equal(p.data, r_before[k], err_msg=k)
+    for name in ("g_xy", "g_yx", "r_x", "r_y"):
+        for k, p in getattr(state, name).params.items():
+            np.testing.assert_array_equal(p.data, getattr(twin, name).params[k].data, err_msg=f"{name}.{k}")
+    if lambda1 == lambda2 == 0:
+        for k, p in state.r_x.params.items():
+            np.testing.assert_array_equal(p.data, r_before[k], err_msg=k)
 
 
 def test_sequence_constant_clips_keep_temporal_losses_small():
@@ -309,9 +365,7 @@ def test_translate_sequence_zero_steps_is_pure_translation():
     state = init_state(cfg, dsx, dsy)
     seq = dsx.examples[0]
     out = translate_sequence(seq, state.g_xy, state.ebm_y, LangevinConfig(steps=0, step_size=0.02))
-    from coopforge.trainer import _run_translator
-
-    np.testing.assert_array_equal(out, _run_translator(state.g_xy, seq))
+    np.testing.assert_array_equal(out, run_translator(state.g_xy, seq))
     assert out.shape == seq.shape
 
 
@@ -323,9 +377,7 @@ def test_translate_sequence_revises_each_frame():
     lcfg = LangevinConfig(steps=4, step_size=0.02, seed=7)
     out = translate_sequence(seq, state.g_xy, state.ebm_y, lcfg)
     assert out.shape == seq.shape
-    from coopforge.trainer import _run_translator
-
-    assert np.abs(out - _run_translator(state.g_xy, seq)).max() > 0.0
+    assert np.abs(out - run_translator(state.g_xy, seq)).max() > 0.0
     single = translate_sequence(seq[:1], state.g_xy, state.ebm_y, lcfg)
     np.testing.assert_array_equal(single[0].shape, seq[0].shape)
 
@@ -393,6 +445,32 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert tail == resumed
 
 
+def test_resume_into_own_directory_keeps_each_row_once(tmp_path):
+    cfg = ring_cfg(iterations=6, eval_every=1, checkpoint_every=3)
+    _, path = train(cfg, RING_X, RING_Y, tmp_path)
+    strip = lambda text: [r.rsplit(",", 1)[0] for r in text.splitlines()]
+    uninterrupted = strip(path.read_text())
+    train(cfg, RING_X, RING_Y, tmp_path, resume_from=tmp_path / "ckpt_3")
+    resumed = strip(path.read_text())
+    assert [r.split(",")[0] for r in resumed[1:]] == ["1", "2", "3", "4", "5", "6"]
+    assert resumed == uninterrupted
+
+
+@pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["ring", "dot"])
+def test_load_checkpoint_generates_only_a_few_examples(tmp_path, monkeypatch, pair, make_cfg):
+    cfg = make_cfg()
+    root = save_checkpoint(init_state(cfg, generate(pair[0]), generate(pair[1])), cfg, *pair, tmp_path)
+    counts = []
+
+    def spy(desc):
+        counts.append(desc.params.get("n", desc.params.get("n_seqs")))
+        return generate(desc)
+
+    monkeypatch.setattr(trainer, "generate", spy)
+    load_checkpoint(root)
+    assert len(counts) == 2 and max(counts) <= 3
+
+
 def test_resume_rejects_other_config(tmp_path):
     cfg = ring_cfg(iterations=2, checkpoint_every=2)
     train(cfg, RING_X, RING_Y, tmp_path)
@@ -410,7 +488,6 @@ def test_resume_rejects_other_domains(tmp_path):
 
 def test_refinement_scores_repeatable():
     from coopforge.metrics import default_feature_map
-    from coopforge.trainer import refinement_scores
 
     cfg = ring_cfg()
     dsx, dsy = generate(RING_X), generate(RING_Y)
