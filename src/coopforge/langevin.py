@@ -10,7 +10,6 @@ import numpy as np
 
 from . import rng
 from .networks import EnergyModel
-from .tensor import Graph, Tensor, backward
 
 __all__ = ["LangevinConfig", "LangevinDiverged", "revise", "energy_grad"]
 
@@ -48,20 +47,7 @@ class LangevinDiverged(RuntimeError):
 
 def energy_grad(model: EnergyModel, x: np.ndarray) -> np.ndarray:
     """dE/dx for a batch, parameters frozen, no graph retained."""
-    leaf = Tensor(x, requires_grad=True)
-    frozen = []
-    for p in model.params.values():
-        if p.requires_grad:
-            frozen.append(p)
-            p.requires_grad = False
-    try:
-        with Graph() as g:
-            total = model.energy_sum(leaf)
-        backward(g, total)
-    finally:
-        for p in frozen:
-            p.requires_grad = True
-    return leaf.grad
+    return model.energy_grad(x)
 
 
 def _check_state(x: np.ndarray, step: int) -> None:

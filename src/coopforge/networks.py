@@ -59,6 +59,24 @@ class Net:
         self.params[local] = t
         return t
 
+    def input_grad(self, x: np.ndarray) -> np.ndarray:
+        """d(sum_i f(x_i))/dx with parameters frozen, by a throwaway tape.
+
+        Scorers with a closed form override this; theirs must equal it bitwise.
+        """
+        leaf = Tensor(x, requires_grad=True)
+        frozen = [p for p in self.params.values() if p.requires_grad]
+        for p in frozen:
+            p.requires_grad = False
+        try:
+            with T.Graph() as g:
+                total = self.forward(leaf).sum()
+            T.backward(g, total)
+        finally:
+            for p in frozen:
+                p.requires_grad = True
+        return leaf.grad
+
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.params.items()}
 
@@ -97,6 +115,22 @@ class PointScorer(Net):
             if i < self.depth - 1:
                 h = T.leaky_relu(h, 0.2)
         return h.reshape(h.shape[0])
+
+    def input_grad(self, x: np.ndarray) -> np.ndarray:
+        """Closed-form backprop of a ones column, in the tape's op order."""
+        masks = []
+        h = x
+        for i in range(self.depth):
+            h = h @ self.params[f"w{i}"].data + self.params[f"b{i}"].data
+            if i < self.depth - 1:
+                masks.append(h >= 0)
+                h = np.where(masks[-1], h, 0.2 * h)
+        g = np.ones_like(h)
+        for i in reversed(range(self.depth)):
+            if i < self.depth - 1:
+                g = np.where(masks[i], g, 0.2 * g)
+            g = g @ self.params[f"w{i}"].data.T
+        return g
 
 
 class ImageScorer(Net):
@@ -172,6 +206,9 @@ class ZeroScorer(Net):
     def forward(self, x: Tensor) -> Tensor:
         return Tensor(np.zeros(x.shape[0], dtype=x.dtype))
 
+    def input_grad(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros_like(x)
+
 
 # ---------------------------------------------------------------------------
 # Energy model
@@ -208,6 +245,12 @@ class EnergyModel:
     def energy_sum(self, x: Tensor) -> Tensor:
         """Total energy of a batch; the scalar Langevin differentiates."""
         return self.energy_each(x).sum()
+
+    def energy_grad(self, x: np.ndarray) -> np.ndarray:
+        """dE/dx for a batch, parameters frozen; bitwise what the tape of
+        ``energy_sum`` gives, with c = 1/(2 s^2) rounded to x's dtype."""
+        c = x.dtype.type(1.0 / (2.0 * self.reference_scale**2))
+        return -self.scorer.input_grad(x) + (2.0 * c) * x
 
     def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Per-sample energies in eval mode (no tape, plain arrays in/out)."""

@@ -317,9 +317,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise _shape_err("matmul", a.shape, b.shape)
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if need_a else None), (ad.T @ g if need_b else None)
 
     return _record("matmul", (a, b), out, bwd)
 
@@ -427,6 +428,14 @@ def channel_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # -- convolution ------------------------------------------------------------
 
 
+def _pad(a: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of an NCHW array by ``pad`` on each side."""
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=a.dtype)
+    out[:, :, pad : pad + h, pad : pad + w] = a
+    return out
+
+
 def _conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int):
     """im2col on an already-padded NCHW array -> (N*Ho*Wo, C*kh*kw)."""
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -459,7 +468,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise _shape_err("conv2d", x.shape, w.shape)
     if b is not None and b.shape != (f,):
         raise _shape_err("conv2d(bias)", b.shape, (f,))
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    xp = _pad(x.data, pad) if pad else x.data
     cols, ho, wo = _conv_cols(xp, kh, kw, stride)
     wmat = w.data.reshape(f, -1)
     out_mat = cols @ wmat.T
@@ -467,16 +476,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         out_mat = out_mat + b.data
     out = Tensor(out_mat.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
     hp, wp = xp.shape[2], xp.shape[3]
+    # gradients nobody reads (data inputs, frozen weights) are never computed
+    need_x, need_w = x.requires_grad, w.requires_grad
+    need_b = b is not None and b.requires_grad
 
     def bwd(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
-        dw = (gmat.T @ cols).reshape(w.shape)
-        dcols = gmat @ wmat
-        dxp = _cols_to_image(dcols, n, c, hp, wp, ho, wo, kh, kw, stride)
-        dx = dxp[:, :, pad : hp - pad, pad : wp - pad] if pad else dxp
+        dw = (gmat.T @ cols).reshape(w.shape) if need_w else None
+        dx = None
+        if need_x:
+            dxp = _cols_to_image(gmat @ wmat, n, c, hp, wp, ho, wo, kh, kw, stride)
+            dx = dxp[:, :, pad : hp - pad, pad : wp - pad] if pad else dxp
         if b is None:
             return dx, dw
-        return dx, dw, gmat.sum(axis=0)
+        return dx, dw, (gmat.sum(axis=0) if need_b else None)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record("conv2d", inputs, out, bwd)
@@ -518,16 +531,18 @@ def conv2d_transpose(
     if b is not None:
         out_arr = out_arr + b.data.reshape(1, cout, 1, 1)
     out = Tensor(out_arr)
+    need_x, need_w = x.requires_grad, w.requires_grad
+    need_b = b is not None and b.requires_grad
 
     def bwd(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else g
+        gp = _pad(g, pad) if pad else g
         gcols, gh, gw = _conv_cols(gp, kh, kw, stride)  # (n*h*wd, cout*kh*kw)
         assert (gh, gw) == (h, wd)
-        dx = (gcols @ wmat.T).reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
-        dw = (xmat.T @ gcols).reshape(w.shape)
+        dx = (gcols @ wmat.T).reshape(n, h, wd, cin).transpose(0, 3, 1, 2) if need_x else None
+        dw = (xmat.T @ gcols).reshape(w.shape) if need_w else None
         if b is None:
             return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
+        return dx, dw, (g.sum(axis=(0, 2, 3)) if need_b else None)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record("conv2d_transpose", inputs, out, bwd)

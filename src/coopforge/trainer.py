@@ -499,10 +499,12 @@ def train(
     # a resumed run keeps the rows up to its checkpoint and rewrites the rest
     metrics_path = out / "metrics.csv"
     rows = metrics_path.read_text().splitlines()[1:] if resume_from is not None and metrics_path.exists() else []
-    start = time.perf_counter()
+    rows = [row for row in rows if int(row.split(",", 1)[0]) <= state.t]
+    # the seconds column continues from the last kept row
+    start = time.perf_counter() - (float(rows[-1].rsplit(",", 1)[1]) if rows else 0.0)
     with open(metrics_path, "w") as mf:
         mf.write(METRICS_HEADER + "\n")
-        mf.writelines(row + "\n" for row in rows if int(row.split(",", 1)[0]) <= state.t)
+        mf.writelines(row + "\n" for row in rows)
         while state.t < cfg.iterations:
             if sequence:
                 train_sequence_iteration(state, ds_x.examples, ds_y.examples, cfg)

@@ -195,6 +195,22 @@ def _composite_loss_cases():
     }
 
 
+def _energy_input_gradient_error() -> float:
+    """Closed-form energy input gradient (the one Langevin uses) against the
+    tape's reverse mode, as the same relative error grad_check reports."""
+    rng_ = np.random.default_rng(300)
+    scorer = _perturbed(PointScorer(dim=2, hidden=(5, 4), seed=58, name="s", dtype=np.float64), 7)
+    model = EnergyModel(scorer, reference_scale=0.7)
+    x = rng_.normal(size=(3, 2))
+    leaf = Tensor(x, requires_grad=True)
+    with T.Graph() as g:
+        total = model.energy_sum(leaf)
+    T.backward(g, total)
+    closed = model.energy_grad(x)
+    scale = np.maximum(np.maximum(np.abs(closed), np.abs(leaf.grad)), 1e-6)
+    return float(np.max(np.abs(closed - leaf.grad) / scale))
+
+
 def test_criterion_1_gradient_fidelity():
     t0 = time.perf_counter()
     worst_name, worst = "", 0.0
@@ -207,13 +223,16 @@ def test_criterion_1_gradient_fidelity():
         report = grad_check(params, fn, step=step)
         if report.max_rel_error > worst:
             worst_name, worst = f"loss {name}", report.max_rel_error
+    err = _energy_input_gradient_error()
+    if err > worst:
+        worst_name, worst = "energy input gradient", err
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 60.0
     record(
         1,
         ok,
         f"max relative gradient error {worst:.2e} ({worst_name}) over "
-        f"{len(cases)} operators and 5 composite losses, budget 1e-4; {elapsed:.1f}s < 60s",
+        f"{len(cases)} operators, 5 composite losses and the energy input gradient, budget 1e-4; {elapsed:.1f}s < 60s",
     )
     assert ok
 

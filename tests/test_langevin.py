@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from coopforge import tensor as T
 from coopforge.langevin import LangevinConfig, LangevinDiverged, energy_grad, revise
 from coopforge.networks import EnergyModel, PointScorer, ZeroScorer
 
@@ -57,6 +58,17 @@ class TestBasics:
         x = np.zeros((2, 2), dtype=np.float32)
         energy_grad(model, x)
         assert all(p.requires_grad for p in net.params.values())
+
+    @pytest.mark.parametrize("scorer", [PointScorer(dim=2, hidden=(4,), seed=0, name="s"), ZeroScorer()], ids=["point", "zero"])
+    def test_revision_builds_no_tape(self, monkeypatch, scorer):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Langevin revision fell back to the tape")
+
+        monkeypatch.setattr(T, "backward", refuse)
+        monkeypatch.setattr(T.Graph, "__enter__", refuse)
+        x0 = np.random.default_rng(5).normal(size=(3, 2)).astype(np.float32)
+        out = revise(x0, EnergyModel(scorer, reference_scale=1.0), LangevinConfig(steps=3, step_size=0.1, seed=1))
+        assert np.isfinite(out).all() and not np.array_equal(out, x0)
 
 
 class TestDeterminism:

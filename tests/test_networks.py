@@ -132,6 +132,54 @@ class TestEnergyModel:
         assert net.forward(x).shape == (3,)
 
 
+def _tape_input_grad(fn, x: np.ndarray) -> np.ndarray:
+    leaf = Tensor(x, requires_grad=True)
+    with T.Graph() as g:
+        total = fn(leaf)
+    T.backward(g, total)
+    return leaf.grad
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInputGradients:
+    """Closed-form input gradients equal the tape's, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("hidden", [(5, 4), (128, 128)])
+    def test_point_scorer_matches_tape(self, hidden, n, dtype):
+        net = PointScorer(dim=2, hidden=hidden, seed=31, name="s", dtype=dtype)
+        rng = np.random.default_rng(10)
+        for p in net.params.values():  # nonzero biases, both leaky-ReLU regions
+            p.data += (0.3 * rng.standard_normal(p.shape)).astype(dtype)
+        x = (2.0 * rng.standard_normal((n, 2))).astype(dtype)
+        tape = _tape_input_grad(lambda t: net.forward(t).sum(), x)
+        assert _bitwise_equal(net.input_grad(x), tape)
+
+    def test_zero_scorer_is_zero(self):
+        x = np.random.default_rng(11).normal(size=(3, 1, 4, 4)).astype(np.float32)
+        assert _bitwise_equal(ZeroScorer().input_grad(x), np.zeros_like(x))
+
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda dt: PointScorer(dim=2, hidden=(8, 8), seed=32, name="s", dtype=dt), (6, 2)),
+            (lambda dt: ImageScorer(in_shape=(1, 8, 8), widths=(2, 3), filters=(3, 3), strides=(2, 1),
+                                    dense=4, seed=33, name="s", dtype=dt), (2, 1, 8, 8)),
+            (lambda dt: ZeroScorer(dtype=dt), (4, 3)),
+        ],
+        ids=["point", "image", "zero"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_energy_grad_matches_tape_of_energy_sum(self, make, shape, dtype):
+        model = EnergyModel(make(dtype), reference_scale=0.7)
+        x = np.random.default_rng(12).normal(size=shape).astype(dtype)
+        assert _bitwise_equal(model.energy_grad(x), _tape_input_grad(model.energy_sum, x))
+
+
 class TestGradientsThroughNetworks:
     """grad_check at float64 on miniature instances of each architecture."""
 

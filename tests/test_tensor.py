@@ -1,6 +1,8 @@
 """Reverse-mode gradients checked against central finite differences,
 plus tape semantics, shape errors, and the CTNS file round trip."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,6 +260,54 @@ class TestConv2dTranspose:
     def test_out_pad_must_be_less_than_stride(self):
         with pytest.raises(ShapeError, match="out_pad"):
             T.conv2d_transpose(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))), stride=1, out_pad=1)
+
+
+class TestUnreadGradients:
+    """Ops skip the gradients of inputs that need none, bit for bit otherwise."""
+
+    CASES = {
+        "matmul": (lambda a, b, c: T.matmul(a, b), ((3, 4), (4, 2), None)),
+        "conv2d": (
+            lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1),
+            ((2, 2, 5, 5), (3, 2, 3, 3), (3,)),
+        ),
+        "conv2d_transpose": (
+            lambda x, w, b: T.conv2d_transpose(x, w, b, stride=2, pad=1, out_pad=1),
+            ((2, 3, 3, 3), (3, 2, 3, 3), (2,)),
+        ),
+    }
+
+    @staticmethod
+    def _grads(op, arrays, needs):
+        inputs = [Tensor(a, requires_grad=r) if a is not None else None for a, r in zip(arrays, needs)]
+        with Graph() as g:
+            out = op(*inputs)
+        (node,) = g.nodes
+        return node.bwd(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_each_requires_grad_combination(self, name):
+        op, shapes = self.CASES[name]
+        rng = np.random.default_rng(19)
+        arrays = [rng.normal(size=s) if s is not None else None for s in shapes]
+        n_in = sum(s is not None for s in shapes)
+        full = self._grads(op, arrays, (True,) * 3)
+        for needs in itertools.product((False, True), repeat=n_in):
+            if not any(needs):
+                continue  # nothing is recorded
+            got = self._grads(op, arrays, needs + (False,) * (3 - n_in))
+            assert len(got) == n_in
+            for need, g, ref in zip(needs, got, full):
+                if need:
+                    assert g.dtype == ref.dtype and g.shape == ref.shape and g.tobytes() == ref.tobytes(), (name, needs)
+                else:
+                    assert g is None, (name, needs)
+
+    def test_pad_matches_numpy(self):
+        a = np.random.default_rng(20).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        got = T._pad(a, 2)
+        assert got.dtype == a.dtype
+        np.testing.assert_array_equal(got, np.pad(a, ((0, 0), (0, 0), (2, 2), (2, 2))))
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,9 @@ def test_resume_into_own_directory_keeps_each_row_once(tmp_path):
     resumed = strip(path.read_text())
     assert [r.split(",")[0] for r in resumed[1:]] == ["1", "2", "3", "4", "5", "6"]
     assert resumed == uninterrupted
+    # wall time continues from the checkpoint's row instead of restarting at 0
+    seconds = [float(r.rsplit(",", 1)[1]) for r in path.read_text().splitlines()[1:]]
+    assert seconds == sorted(seconds)
 
 
 @pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["ring", "dot"])
