@@ -15,8 +15,9 @@ import numpy as np
 
 from .domains import DomainDataset, DomainDescriptor, save_ppm, with_count
 from .langevin import LangevinConfig, revise
-from .metrics import FeatureMap, cycle_error, frechet_distance
+from .metrics import FeatureMap, frechet_distance
 from .networks import EnergyModel, Net
+from .objectives import cycle_loss
 from .tensor import ShapeError, Tensor
 
 __all__ = [
@@ -72,13 +73,17 @@ def eval_langevin(cfg) -> LangevinConfig:
 
 
 def evaluate(state, eval_x: np.ndarray, eval_y: np.ndarray, cfg, fm: FeatureMap) -> dict:
-    """Held-out metrics: directional distances plus the round-trip error."""
+    """Held-out metrics: directional distances plus the round-trip error.
+
+    The round trips start from the two translations the distances use, so
+    ``cycle_err`` equals ``metrics.cycle_error`` on the same sets.
+    """
     to_y = run_translator(state.g_xy, eval_x)
     to_x = run_translator(state.g_yx, eval_y)
     return {
         "fd_x": frechet_distance(to_y, eval_y, fm),
         "fd_y": frechet_distance(to_x, eval_x, fm),
-        "cycle_err": cycle_error(state.g_xy, state.g_yx, eval_x, eval_y),
+        "cycle_err": float(cycle_loss(state.g_xy, state.g_yx, eval_x, eval_y, to_x, to_y).data),
     }
 
 

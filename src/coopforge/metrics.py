@@ -196,4 +196,5 @@ def cycle_error(g_xy, g_yx, set_x, set_y) -> float:
     ys = np.asarray(set_y)
     if xs.shape[0] == 0 or ys.shape[0] == 0:
         raise ValueError("cycle error needs non-empty sets on both sides")
-    return float(cycle_loss(g_xy, g_yx, Tensor(xs), Tensor(ys)).data)
+    x, y = Tensor(xs), Tensor(ys)
+    return float(cycle_loss(g_xy, g_yx, x, y, g_yx.forward(y), g_xy.forward(x)).data)

@@ -4,6 +4,10 @@ The estimator follows the contrastive maximum-likelihood form: observed
 batches push parameters to raise f, synthesized batches to lower it. All
 losses return scalar tensors so they can be recorded on a tape and
 differentiated; revision targets are always treated as constants.
+
+The translator losses take translated batches, not sources: the trainer
+translates each batch once, on the iteration's tape, and every term that
+needs G_xy(x) or G_yx(y) reads that one recorded output.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ def _constant(batch) -> Tensor:
     return Tensor(np.asarray(batch))
 
 
+def _tensor(batch) -> Tensor:
+    """A translated batch as given: a recorded output keeps its place on the tape."""
+    return batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
+
+
 def ebm_grad(model: EnergyModel, data_batch, synth_batch) -> dict[str, np.ndarray]:
     """Ascent direction on the data log-likelihood of the energy model.
 
@@ -77,48 +86,52 @@ def ebm_grad(model: EnergyModel, data_batch, synth_batch) -> dict[str, np.ndarra
     return {k: p.grad.copy() for k, p in params.items()}
 
 
-def teach_loss(g: Net, sources, targets) -> Tensor:
-    """Regression of the translator onto revised targets.
+def teach_loss(moved, targets) -> Tensor:
+    """Regression of a translator's output onto revised targets.
 
-    (1/n) sum_i ||target_i - G(source_i)||^2; targets are constants, so the
-    gradient reaches only translator parameters.
+    (1/n) sum_i ||target_i - moved_i||^2 with ``moved`` = G(sources);
+    targets are constants, so the gradient reaches only the translator.
     """
-    src = _constant(sources)
+    out = _tensor(moved)
     tgt = _constant(targets)
-    if src.shape[0] != tgt.shape[0] or src.shape[0] == 0:
+    if out.shape[0] != tgt.shape[0] or out.shape[0] == 0:
         raise ValueError(
-            f"teach_loss: need equal non-empty batches, got {src.shape[0]} sources, {tgt.shape[0]} targets"
+            f"teach_loss: need equal non-empty batches, got {out.shape[0]} translations, {tgt.shape[0]} targets"
         )
-    diff = T.sub(tgt, g.forward(src))
-    return diff.sq_norm() * (1.0 / src.shape[0])
+    diff = T.sub(tgt, out)
+    return diff.sq_norm() * (1.0 / out.shape[0])
 
 
-def cycle_loss(g_xy: Net, g_yx: Net, x_batch, y_batch) -> Tensor:
+def cycle_loss(g_xy: Net, g_yx: Net, x_batch, y_batch, x_moved, y_moved) -> Tensor:
     """Round-trip consistency in both directions, L1 per sample.
 
+    ``y_moved`` = G_xy(x_batch) and ``x_moved`` = G_yx(y_batch), so this is
     (1/n) sum ||x - G_yx(G_xy(x))||_1 + (1/m) sum ||y - G_xy(G_yx(y))||_1.
     """
     x = _constant(x_batch)
     y = _constant(y_batch)
     if x.shape[0] == 0 or y.shape[0] == 0:
         raise ValueError("cycle_loss: batches must be non-empty")
-    x_round = g_yx.forward(g_xy.forward(x))
-    y_round = g_xy.forward(g_yx.forward(y))
+    x_round = g_yx.forward(_tensor(y_moved))
+    y_round = g_xy.forward(_tensor(x_moved))
     term_x = T.sub(x, x_round).l1_norm() * (1.0 / x.shape[0])
     term_y = T.sub(y, y_round).l1_norm() * (1.0 / y.shape[0])
     return term_x + term_y
 
 
-def image_objective(g_xy: Net, g_yx: Net, x_batch, y_batch, x_targets, y_targets, w: LossWeights) -> Tensor:
+def image_objective(
+    g_xy: Net, g_yx: Net, x_batch, y_batch, x_moved, y_moved, x_targets, y_targets, w: LossWeights
+) -> Tensor:
     """Joint objective of the two translators on unpaired batches.
 
-    teach(G_yx: y_batch -> x_targets) + teach(G_xy: x_batch -> y_targets)
+    With x_moved = G_yx(y_batch) and y_moved = G_xy(x_batch):
+    teach(x_moved -> x_targets) + teach(y_moved -> y_targets)
     + lambda_cyc * cycle(x_batch, y_batch); the cycle term is left out of
     the tape when its weight is zero.
     """
-    loss = teach_loss(g_yx, y_batch, x_targets) + teach_loss(g_xy, x_batch, y_targets)
+    loss = teach_loss(x_moved, x_targets) + teach_loss(y_moved, y_targets)
     if w.lambda_cyc > 0:
-        loss = loss + w.lambda_cyc * cycle_loss(g_xy, g_yx, x_batch, y_batch)
+        loss = loss + w.lambda_cyc * cycle_loss(g_xy, g_yx, x_batch, y_batch, x_moved, y_moved)
     return loss
 
 
@@ -146,20 +159,27 @@ def temporal_loss(r: TemporalPredictor, clips) -> Tensor:
     return T.sub(future, pred).l1_norm() * (1.0 / n)
 
 
-def spatiotemporal_loss(g_fwd: Net, r_other: TemporalPredictor, g_back: Net, clips) -> Tensor:
+def spatiotemporal_loss(moved, r_other: TemporalPredictor, g_back: Net, clips) -> Tensor:
     """Round-trip prediction error through the other domain.
 
-    Translate the k past frames with ``g_fwd`` (frame-wise), predict the
-    next translated frame with ``r_other``, translate back with ``g_back``,
-    and compare to the true next frame: mean over clips of
+    ``moved`` is G_fwd of every frame of ``clips`` in clip order,
+    (n*(k+1), C, H, W). Its k past frames per clip predict the next
+    translated frame through ``r_other``, ``g_back`` translates that back,
+    and it is compared to the true next frame: mean over clips of
     ||x_{t+k} - G_back(R_other(G_fwd(x_t..x_{t+k-1})))||_1.
     """
-    past, future = _split_clips(clips, r_other.k)
-    moved = [g_fwd.forward(frame) for frame in past]
-    context = T.concat(moved, axis=1)
-    pred_other = r_other.forward(context, moved[-1])
-    pred_back = g_back.forward(pred_other)
-    n = future.shape[0]
+    k = r_other.k
+    _, future = _split_clips(clips, k)
+    n, frame = future.shape[0], future.shape[1:]
+    moved = _tensor(moved)
+    if moved.shape != (n * (k + 1),) + frame:
+        raise T.ShapeError(
+            f"spatiotemporal_loss: need {n * (k + 1)} translated frames of {frame}, got {moved.shape}"
+        )
+    # clip-major frames: each clip's k past frames stacked along channels
+    context = T.narrow(moved.reshape((n, k + 1) + frame), 1, 0, k).reshape((n, k * frame[0]) + frame[1:])
+    last = T.narrow(context, 1, (k - 1) * frame[0], frame[0])
+    pred_back = g_back.forward(r_other.forward(context, last))
     return T.sub(future, pred_back).l1_norm() * (1.0 / n)
 
 
@@ -177,15 +197,15 @@ class SequenceNets:
 class SequenceBatches:
     """Inputs of one sequence-objective evaluation.
 
-    ``y_sources``/``x_targets`` teach the Y-to-X translator (targets come
-    from Langevin revision and are constants); ``x_sources``/``y_targets``
-    the other direction. ``x_clips``/``y_clips`` are (n, k+1, C, H, W)
-    windows from each domain for the temporal terms.
+    ``x_clips``/``y_clips`` are (n, k+1, C, H, W) windows from each domain.
+    ``x_moved`` is G_yx of every frame of ``y_clips`` in clip order and is
+    taught onto ``x_targets`` (Langevin revisions, constants); ``y_moved``
+    and ``y_targets`` are the same for G_xy and ``x_clips``.
     """
 
-    y_sources: np.ndarray
+    x_moved: Tensor
     x_targets: np.ndarray
-    x_sources: np.ndarray
+    y_moved: Tensor
     y_targets: np.ndarray
     x_clips: np.ndarray
     y_clips: np.ndarray
@@ -211,10 +231,10 @@ def combine_sequence_losses(
 
 def sequence_objective(nets: SequenceNets, batches: SequenceBatches, w: LossWeights) -> Tensor:
     """Joint objective of translators and temporal predictors on sequences."""
-    teach_yx = teach_loss(nets.g_yx, batches.y_sources, batches.x_targets)
-    teach_xy = teach_loss(nets.g_xy, batches.x_sources, batches.y_targets)
+    teach_yx = teach_loss(batches.x_moved, batches.x_targets)
+    teach_xy = teach_loss(batches.y_moved, batches.y_targets)
     tp_x = temporal_loss(nets.r_x, batches.x_clips)
     tp_y = temporal_loss(nets.r_y, batches.y_clips)
-    st_x = spatiotemporal_loss(nets.g_xy, nets.r_y, nets.g_yx, batches.x_clips)
-    st_y = spatiotemporal_loss(nets.g_yx, nets.r_x, nets.g_xy, batches.y_clips)
+    st_x = spatiotemporal_loss(batches.y_moved, nets.r_y, nets.g_yx, batches.x_clips)
+    st_y = spatiotemporal_loss(batches.x_moved, nets.r_x, nets.g_xy, batches.y_clips)
     return combine_sequence_losses(teach_yx, teach_xy, tp_x, tp_y, st_x, st_y, w)

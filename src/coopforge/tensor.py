@@ -20,6 +20,7 @@ __all__ = [
     "apply",
     "OPS",
     "concat",
+    "narrow",
     "conv2d",
     "conv2d_transpose",
     "channel_affine",
@@ -391,6 +392,29 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record("concat", tuple(tensors), out, bwd)
 
 
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Entries ``start .. start+length-1`` of ``axis``; every other axis is kept whole.
+
+    The backward pass writes the output gradient into those entries of a
+    zero array of the input's shape.
+    """
+    if not -a.ndim <= axis < a.ndim:
+        raise _shape_err("narrow(axis)", a.shape, (axis,))
+    axis %= a.ndim
+    if start < 0 or length < 1 or start + length > a.shape[axis]:
+        raise _shape_err("narrow", a.shape, (axis, start, length))
+    index = (slice(None),) * axis + (slice(start, start + length),)
+    out = Tensor(a.data[index])
+    shape = a.shape
+
+    def bwd(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        full[index] = g
+        return (full,)
+
+    return _record("narrow", (a,), out, bwd)
+
+
 def sq_norm(a: Tensor, axis=None) -> Tensor:
     """Squared L2 norm: sum of squares over ``axis`` (all axes by default)."""
     return tensor_sum(square(a), axis=axis)
@@ -561,6 +585,7 @@ OPS = {
     "mean": tensor_mean,
     "reshape": reshape,
     "concat": concat,
+    "narrow": narrow,
     "sq_norm": sq_norm,
     "l1_norm": l1_norm,
     "channel_affine": channel_affine,

@@ -1,14 +1,15 @@
 """Alternating cooperative training of the two translator/energy pairs.
 
-Both modes run one phase pipeline: translate the sampled batches, revise
-the translations by Langevin dynamics, ascend the two energy models on
-their data-vs-synthesis gradient, then take one descent step of the
-translators (and the temporal predictors in sequence mode) on the mode's
-objective. Energy updates always precede translator updates, and every
-gradient inside a phase is taken at the phase-start parameters. A mode
-supplies only its batches, its objective (``image_objective`` or
-``sequence_objective``) and the optimizer groups that objective trains;
-a failed phase rolls the whole iteration back.
+Both modes run one phase pipeline: translate the sampled batches on the
+iteration's tape, revise the translations by Langevin dynamics, ascend the
+two energy models on their data-vs-synthesis gradient, then take one
+descent step of the translators (and the temporal predictors in sequence
+mode) on the mode's objective, which reads the recorded translations
+instead of translating again. Energy updates always precede translator
+updates, and every gradient inside a phase is taken at the phase-start
+parameters. A mode supplies only its batches, its objective
+(``image_objective`` or ``sequence_objective``) and the optimizer groups
+that objective trains; a failed phase rolls the whole iteration back.
 
 Everything the loop consumes is keyed by (seed, iteration) through
 counter-based streams, so a checkpoint needs to store only plain integers
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate, parse_descriptor, with_count
-from .evaluation import eval_descriptor, eval_frames, evaluate, run_translator, write_grid
+from .evaluation import eval_descriptor, eval_frames, evaluate, write_grid
 from .langevin import LangevinConfig, LangevinDiverged, revise
 from .metrics import default_feature_map
 from .networks import EnergyModel, Net, TemporalPredictor, build_scorer, build_translator
@@ -236,15 +237,10 @@ def init_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset) -> Tr
 
 
 def _snapshot(state: TrainState):
-    params = {g: {k: p.data.copy() for k, p in ps.items()} for g, ps in state.groups().items()}
-    moments = {
-        g: (
-            {k: a.copy() for k, a in s.m.items()},
-            {k: a.copy() for k, a in s.v.items()},
-            s.count,
-        )
-        for g, s in state.opt.items()
-    }
+    # References suffice: adam_step is pure and _apply_adam rebinds p.data
+    # and the moment entries, so an iteration never writes these arrays.
+    params = {g: {k: p.data for k, p in ps.items()} for g, ps in state.groups().items()}
+    moments = {g: (dict(s.m), dict(s.v), s.count) for g, s in state.opt.items()}
     return params, moments
 
 
@@ -290,16 +286,22 @@ def _iteration_stats(state: TrainState, x_hat, x_tilde, y_hat, y_tilde) -> None:
 def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data: np.ndarray, objective, descend) -> TrainState:
     """Translate, revise, update both energy models, then descend ``objective``.
 
-    ``x_data``/``y_data`` are equal-length batches of examples or frames;
-    ``objective(x_tilde, y_tilde)`` builds the loss on the revised targets,
-    and ``descend`` maps the optimizer groups it trains to their rates. A
+    ``x_data``/``y_data`` are equal-length batches of examples or frames.
+    Their translations x_moved = G_yx(y_data) and y_moved = G_xy(x_data)
+    are recorded once on the iteration's tape; the energy phases never
+    change translator parameters, so ``objective(x_moved, y_moved,
+    x_tilde, y_tilde)`` builds the loss on that same tape, reopened.
+    ``descend`` maps the optimizer groups it trains to their rates. A
     failed phase restores the starting parameters and moments.
     """
     t = state.t
     snap = _snapshot(state)
+    graph = Graph()
     try:
-        x_hat = run_translator(state.g_yx, y_data)
-        y_hat = run_translator(state.g_xy, x_data)
+        with graph:
+            x_moved = state.g_yx.forward(Tensor(y_data))
+            y_moved = state.g_xy.forward(Tensor(x_data))
+        x_hat, y_hat = x_moved.data, y_moved.data
 
         n = len(y_data)
         x_tilde = _revise_or_abort(x_hat, state.ebm_x, cfg, 2 * t * n, "langevin_x")
@@ -312,8 +314,8 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
         for group in descend:
             for p in groups[group].values():
                 p.zero_grad()
-        with Graph() as graph:
-            loss = objective(x_tilde, y_tilde)
+        with graph:
+            loss = objective(x_moved, y_moved, x_tilde, y_tilde)
         if not np.isfinite(loss.data):
             raise TrainPhaseError("alpha", f"non-finite translator loss {loss.data!r}")
         backward(graph, loss)
@@ -340,8 +342,8 @@ def train_iteration(state: TrainState, data_x: np.ndarray, data_y: np.ndarray, c
     y_batch = data_y[data_stream(cfg.seed, state.t, phase=0).integers(0, len(data_y), size=cfg.batch)]
     x_batch = data_x[data_stream(cfg.seed, state.t, phase=1).integers(0, len(data_x), size=cfg.batch)]
 
-    def objective(x_tilde, y_tilde):
-        return image_objective(state.g_xy, state.g_yx, x_batch, y_batch, x_tilde, y_tilde, cfg.weights)
+    def objective(x_moved, y_moved, x_tilde, y_tilde):
+        return image_objective(state.g_xy, state.g_yx, x_batch, y_batch, x_moved, y_moved, x_tilde, y_tilde, cfg.weights)
 
     return _run_phases(state, cfg, x_batch, y_batch, objective, {"alpha_x": cfg.lr_alpha_x, "alpha_y": cfg.lr_alpha_y})
 
@@ -376,11 +378,12 @@ def train_sequence_iteration(state: TrainState, seq_x: np.ndarray, seq_y: np.nda
     x_frames, y_frames = _frames(x_clips), _frames(y_clips)
     nets = SequenceNets(state.g_xy, state.g_yx, state.r_x, state.r_y)
 
-    def objective(x_tilde, y_tilde):
-        batches = SequenceBatches(y_frames, x_tilde, x_frames, y_tilde, x_clips, y_clips)
+    def objective(x_moved, y_moved, x_tilde, y_tilde):
+        batches = SequenceBatches(x_moved, x_tilde, y_moved, y_tilde, x_clips, y_clips)
         loss = sequence_objective(nets, batches, cfg.weights)
         if cfg.sequence_cycle and cfg.weights.lambda_cyc > 0:
-            loss = loss + cfg.weights.lambda_cyc * cycle_loss(state.g_xy, state.g_yx, x_frames, y_frames)
+            cycle = cycle_loss(state.g_xy, state.g_yx, x_frames, y_frames, x_moved, y_moved)
+            loss = loss + cfg.weights.lambda_cyc * cycle
         return loss
 
     descend = {"alpha_x": cfg.lr_alpha_x, "alpha_y": cfg.lr_alpha_y, "rho_x": cfg.lr_alpha_x, "rho_y": cfg.lr_alpha_y}

@@ -45,7 +45,6 @@ from coopforge.objectives import (
     SequenceBatches,
     SequenceNets,
     combine_sequence_losses,
-    cycle_loss,
     ebm_grad,
     image_objective,
     sequence_objective,
@@ -60,7 +59,7 @@ from coopforge.evaluation import (
 )
 from coopforge.tensor import Tensor, grad_check, load_ctns, save_ctns
 from coopforge.trainer import init_state, load_checkpoint, train
-from util import AddConstant
+from util import AddConstant, round_trip_loss
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +99,7 @@ def _operator_cases(rng_):
     w32, w23, w34 = w((3, 2)), w((2, 3)), w((3, 4))
     wcat, wmm = w((3, 3)), w((3, 2))
     wca, wcv, wct = w((2, 3, 5)), w((3, 3, 3)), w((2, 6, 6))
+    nw, wnw = _leaf(rng_, (2, 3, 4)), w((2, 2, 4))
 
     return {
         "add": ({"a": a, "b": b}, lambda: _weighted_sum(a + b, w32)),
@@ -115,6 +115,7 @@ def _operator_cases(rng_):
         "l1_norm": ({"k": k2}, lambda: k2.l1_norm()),
         "reshape": ({"c": c}, lambda: _weighted_sum(c.reshape(3, 4), w34)),
         "concat": ({"c1": c1, "c2": c2}, lambda: _weighted_sum(T.concat([c1, c2], axis=0), wcat)),
+        "narrow": ({"n": nw}, lambda: _weighted_sum(T.narrow(nw, 1, 1, 2), wnw)),
         "matmul": ({"m1": m1, "m2": m2}, lambda: _weighted_sum(T.matmul(m1, m2), wmm)),
         "channel_affine": (
             {"x": ca_x, "g": ca_g, "b": ca_b},
@@ -166,32 +167,31 @@ def _composite_loss_cases():
     r_x = _perturbed(TemporalPredictor(in_shape=shape, k=2, base=2, seed=56, name="rx", **f64), 5)
     r_y = _perturbed(TemporalPredictor(in_shape=shape, k=2, base=2, seed=57, name="ry", **f64), 6)
     nets = SequenceNets(g_xy=gs_xy, g_yx=gs_yx, r_x=r_x, r_y=r_y)
-    batches = SequenceBatches(
-        y_sources=rng_.normal(size=(1,) + shape),
-        x_targets=rng_.normal(size=(1,) + shape),
-        x_sources=rng_.normal(size=(1,) + shape),
-        y_targets=rng_.normal(size=(1,) + shape),
-        x_clips=rng_.normal(size=(1, 3) + shape),
-        y_clips=rng_.normal(size=(1, 3) + shape),
-    )
+    x_clips, y_clips = rng_.normal(size=(1, 3) + shape), rng_.normal(size=(1, 3) + shape)
+    x_targets, y_targets = rng_.normal(size=(3,) + shape), rng_.normal(size=(3,) + shape)
+
+    def sequence_loss():
+        # one translation per direction of every clip frame, as the trainer records it
+        x_moved = gs_yx.forward(Tensor(y_clips.reshape((3,) + shape)))
+        y_moved = gs_xy.forward(Tensor(x_clips.reshape((3,) + shape)))
+        batches = SequenceBatches(x_moved, x_targets, y_moved, y_targets, x_clips, y_clips)
+        return sequence_objective(nets, batches, weights)
     seq_params = {}
     for tag, net in (("gxy", gs_xy), ("gyx", gs_yx), ("rx", r_x), ("ry", r_y)):
         seq_params.update({f"{tag}.{k}": v for k, v in net.params.items()})
 
     return {
         "energy": (scorer.params, lambda: model.energy_sum(pts), 1e-3),
-        "teach": (g_yx.params, lambda: teach_loss(g_yx, src, tgt), 1e-3),
-        "cycle": (both, lambda: cycle_loss(g_xy, g_yx, xb, yb), 1e-3),
+        "teach": (g_yx.params, lambda: teach_loss(g_yx.forward(Tensor(src)), tgt), 1e-3),
+        "cycle": (both, lambda: round_trip_loss(g_xy, g_yx, xb, yb), 1e-3),
         "image_objective": (
             both,
-            lambda: image_objective(g_xy, g_yx, xb, yb, tgt, src, weights),
+            lambda: image_objective(
+                g_xy, g_yx, xb, yb, g_yx.forward(Tensor(yb)), g_xy.forward(Tensor(xb)), tgt, src, weights
+            ),
             1e-3,
         ),
-        "sequence_objective": (
-            seq_params,
-            lambda: sequence_objective(nets, batches, weights),
-            1e-5,
-        ),
+        "sequence_objective": (seq_params, sequence_loss, 1e-5),
     }
 
 
@@ -291,12 +291,12 @@ def test_criterion_3_noise_free_energy_descent():
 def test_criterion_4_loss_identities():
     g = build_translator((2,), seed=61, name="g")
     batch = np.random.default_rng(30).normal(size=(5, 2)).astype(np.float32)
-    teach_zero = teach_loss(g, batch, batch.copy()).item()
+    teach_zero = teach_loss(g.forward(Tensor(batch)), batch.copy()).item()
 
     # Quarter-integer data stays exact under +0.5 / -0.5 round trips
     x = (np.random.default_rng(31).integers(-8, 8, size=(6, 2)) / 4.0).astype(np.float32)
     y = (np.random.default_rng(32).integers(-8, 8, size=(6, 2)) / 4.0).astype(np.float32)
-    cyc_zero = cycle_loss(AddConstant(0.5), AddConstant(-0.5), x, y).item()
+    cyc_zero = round_trip_loss(AddConstant(0.5), AddConstant(-0.5), x, y).item()
 
     one = Tensor(np.float32(1.0))
     total = combine_sequence_losses(one, one, one, one, one, one, LossWeights()).item()

@@ -19,13 +19,14 @@ from coopforge.objectives import (
     combine_sequence_losses,
     cycle_loss,
     ebm_grad,
+    image_objective,
     sequence_objective,
     spatiotemporal_loss,
     teach_loss,
     temporal_loss,
 )
 from coopforge.tensor import Tensor, grad_check
-from util import AddConstant, fd_grad
+from util import AddConstant, fd_grad, round_trip_loss
 
 
 class LinearScorer(Net):
@@ -119,13 +120,13 @@ class TestTeachLoss:
     def test_exact_fit_zero(self):
         g = PointTranslator(dim=2, seed=5, name="g")  # identity at init
         batch = np.random.default_rng(4).normal(size=(4, 2)).astype(np.float32)
-        assert teach_loss(g, batch, batch).item() == 0.0
+        assert teach_loss(g.forward(Tensor(batch)), batch).item() == 0.0
 
     def test_unit_offset_gives_dimension(self):
         # G(y) - target = 1 in every coordinate -> squared norm = D.
         g = AddConstant(1.0)
         y = np.zeros((1, 7), dtype=np.float32)
-        assert teach_loss(g, y, np.zeros_like(y)).item() == 7.0
+        assert teach_loss(g.forward(Tensor(y)), np.zeros_like(y)).item() == 7.0
 
     def test_matches_naive_loop(self):
         g = PointTranslator(dim=2, hidden=8, seed=6, name="g")
@@ -139,19 +140,18 @@ class TestTeachLoss:
             out_i = g.forward(Tensor(src[i : i + 1])).data[0]
             total += float(((tgt[i] - out_i) ** 2).sum())
         expected = total / 5
-        assert teach_loss(g, src, tgt).item() == pytest.approx(expected, rel=1e-6)
+        assert teach_loss(g.forward(Tensor(src)), tgt).item() == pytest.approx(expected, rel=1e-6)
 
     def test_length_mismatch_rejected(self):
-        g = AddConstant(0.0)
         with pytest.raises(ValueError, match="equal"):
-            teach_loss(g, np.zeros((3, 2)), np.zeros((2, 2)))
+            teach_loss(np.zeros((3, 2)), np.zeros((2, 2)))
 
     def test_targets_receive_no_gradient(self):
         g = PointTranslator(dim=2, seed=7, name="g")
         src = np.zeros((2, 2), dtype=np.float32)
         tgt = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
         with T.Graph() as graph:
-            loss = teach_loss(g, src, tgt)
+            loss = teach_loss(g.forward(Tensor(src)), tgt)
         T.backward(graph, loss)
         assert not tgt.grad.any()
 
@@ -161,7 +161,7 @@ class TestTeachLoss:
             p.data += np.random.default_rng(7).normal(size=p.data.shape) * 0.2
         src = np.random.default_rng(8).normal(size=(3, 2))
         tgt = np.random.default_rng(9).normal(size=(3, 2))
-        report = grad_check(g.params, lambda: teach_loss(g, src, tgt), step=1e-5)
+        report = grad_check(g.params, lambda: teach_loss(g.forward(Tensor(src)), tgt), step=1e-5)
         assert report.max_rel_error < 1e-4, report
 
 
@@ -172,14 +172,14 @@ class TestCycleLoss:
         rng_ = np.random.default_rng(10)
         x = rng_.normal(size=(4, 2)).astype(np.float32)
         y = rng_.normal(size=(3, 2)).astype(np.float32)
-        assert cycle_loss(g1, g2, x, y).item() == 0.0
+        assert round_trip_loss(g1, g2, x, y).item() == 0.0
 
     def test_exact_inverses_zero(self):
         # dyadic inputs so (x + 1) - 1 round-trips without rounding residue
         plus, minus = AddConstant(1.0), AddConstant(-1.0)
         x = np.array([[0.5, -0.25, 1.75, 0.0, 2.0]], dtype=np.float32)
         y = np.array([[1.25, -0.5, 0.75, -2.0, 0.5]], dtype=np.float32)
-        assert cycle_loss(plus, minus, x, y).item() == 0.0
+        assert round_trip_loss(plus, minus, x, y).item() == 0.0
 
     def test_one_sided_offset_gives_2d(self):
         # Forward adds 1, backward is identity: each direction contributes
@@ -187,7 +187,7 @@ class TestCycleLoss:
         plus, ident = AddConstant(1.0), AddConstant(0.0)
         x = np.zeros((1, 6), dtype=np.float32)
         y = np.zeros((1, 6), dtype=np.float32)
-        assert cycle_loss(plus, ident, x, y).item() == 12.0
+        assert round_trip_loss(plus, ident, x, y).item() == 12.0
 
     def test_swap_symmetry_exact(self):
         g1 = PointTranslator(dim=2, hidden=6, seed=13, name="gxy")
@@ -197,18 +197,18 @@ class TestCycleLoss:
                 p.data += np.random.default_rng(s).normal(size=p.data.shape).astype(np.float32) * 0.2
         x = np.random.default_rng(17).normal(size=(3, 2)).astype(np.float32)
         y = np.random.default_rng(18).normal(size=(4, 2)).astype(np.float32)
-        assert cycle_loss(g1, g2, x, y).item() == cycle_loss(g2, g1, y, x).item()
+        assert round_trip_loss(g1, g2, x, y).item() == round_trip_loss(g2, g1, y, x).item()
 
     def test_nonnegative_and_zero_only_at_inverses(self):
         plus, shifted = AddConstant(1.0), AddConstant(-0.5)
         x = np.zeros((1, 4), dtype=np.float32)
-        val = cycle_loss(plus, shifted, x, x).item()
+        val = round_trip_loss(plus, shifted, x, x).item()
         assert val > 0
 
     def test_empty_rejected(self):
         g = AddConstant(0.0)
         with pytest.raises(ValueError, match="non-empty"):
-            cycle_loss(g, g, np.zeros((0, 2)), np.zeros((1, 2)))
+            cycle_loss(g, g, np.zeros((0, 2)), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((0, 2)))
 
     def test_gradient_matches_fd(self):
         g1 = PointTranslator(dim=2, hidden=4, blocks=1, seed=19, name="gxy", dtype=np.float64)
@@ -220,12 +220,18 @@ class TestCycleLoss:
         y = np.random.default_rng(24).normal(size=(2, 2))
         params = {f"a.{k}": v for k, v in g1.params.items()}
         params.update({f"b.{k}": v for k, v in g2.params.items()})
-        report = grad_check(params, lambda: cycle_loss(g1, g2, x, y), step=1e-5)
+        report = grad_check(params, lambda: round_trip_loss(g1, g2, x, y), step=1e-5)
         assert report.max_rel_error < 1e-4, report
 
 
 def _random_clips(rng_, n, k, shape=(1, 8, 8)):
     return rng_.normal(size=(n, k + 1) + shape).astype(np.float32)
+
+
+def _translate_clips(g, clips):
+    """G of every frame of (n, k+1, C, H, W) clips, in clip order."""
+    clips = np.asarray(clips)
+    return g.forward(Tensor(np.ascontiguousarray(clips.reshape((-1,) + clips.shape[2:]))))
 
 
 class TestTemporalLoss:
@@ -268,7 +274,7 @@ class TestSpatiotemporalLoss:
         g_fwd, g_back = gi(32, "gxy"), gi(33, "gyx")
         r = TemporalPredictor(in_shape=(1, 8, 8), k=2, base=2, seed=34, name="r")
         clips = np.full((2, 3, 1, 8, 8), 0.3, dtype=np.float32)
-        assert spatiotemporal_loss(g_fwd, r, g_back, clips).item() == 0.0
+        assert spatiotemporal_loss(_translate_clips(g_fwd, clips), r, g_back, clips).item() == 0.0
 
     def test_matches_naive_loop(self):
         from coopforge.networks import ImageTranslator
@@ -287,7 +293,7 @@ class TestSpatiotemporalLoss:
             pred = r.forward(ctx, Tensor(moved[1][None]))
             back = g_back.forward(pred).data[0]
             total += float(np.abs(clips[i, 2] - back).sum())
-        got = spatiotemporal_loss(g_fwd, r, g_back, clips).item()
+        got = spatiotemporal_loss(_translate_clips(g_fwd, clips), r, g_back, clips).item()
         assert got == pytest.approx(total / 3, rel=1e-4)
 
     def test_short_clip_rejected(self):
@@ -296,7 +302,17 @@ class TestSpatiotemporalLoss:
         g = ImageTranslator(in_shape=(1, 8, 8), base=2, blocks=1, seed=42, name="g")
         r = TemporalPredictor(in_shape=(1, 8, 8), k=2, seed=43, name="r")
         with pytest.raises(ValueError, match="k"):
-            spatiotemporal_loss(g, r, g, np.zeros((1, 2, 1, 8, 8), dtype=np.float32))
+            moved = np.zeros((2, 1, 8, 8), dtype=np.float32)
+            spatiotemporal_loss(moved, r, g, np.zeros((1, 2, 1, 8, 8), dtype=np.float32))
+
+    def test_translation_count_must_match_clips(self):
+        from coopforge.networks import ImageTranslator
+
+        g = ImageTranslator(in_shape=(1, 8, 8), base=2, blocks=1, seed=42, name="g")
+        r = TemporalPredictor(in_shape=(1, 8, 8), k=2, seed=43, name="r")
+        clips = np.zeros((2, 3, 1, 8, 8), dtype=np.float32)
+        with pytest.raises(T.ShapeError, match="6 translated frames"):
+            spatiotemporal_loss(np.zeros((3, 1, 8, 8), dtype=np.float32), r, g, clips)
 
 
 class TestSequenceObjective:
@@ -325,24 +341,25 @@ class TestSequenceObjective:
             for p in net.params.values():
                 p.data += np.random.default_rng(s).normal(size=p.data.shape).astype(np.float32) * 0.05
         rng_ = np.random.default_rng(52)
+        x_clips, y_clips = _random_clips(rng_, 2, 2), _random_clips(rng_, 2, 2)
         frames = lambda n: rng_.normal(size=(n,) + shape).astype(np.float32)
         batches = SequenceBatches(
-            y_sources=frames(2),
-            x_targets=frames(2),
-            x_sources=frames(2),
-            y_targets=frames(2),
-            x_clips=_random_clips(rng_, 2, 2),
-            y_clips=_random_clips(rng_, 2, 2),
+            x_moved=_translate_clips(nets.g_yx, y_clips),
+            x_targets=frames(6),
+            y_moved=_translate_clips(nets.g_xy, x_clips),
+            y_targets=frames(6),
+            x_clips=x_clips,
+            y_clips=y_clips,
         )
         w = LossWeights(lambda1=9.0, lambda2=9.0)
         total = sequence_objective(nets, batches, w).item()
         expected = combine_sequence_losses(
-            teach_loss(nets.g_yx, batches.y_sources, batches.x_targets),
-            teach_loss(nets.g_xy, batches.x_sources, batches.y_targets),
+            teach_loss(batches.x_moved, batches.x_targets),
+            teach_loss(batches.y_moved, batches.y_targets),
             temporal_loss(nets.r_x, batches.x_clips),
             temporal_loss(nets.r_y, batches.y_clips),
-            spatiotemporal_loss(nets.g_xy, nets.r_y, nets.g_yx, batches.x_clips),
-            spatiotemporal_loss(nets.g_yx, nets.r_x, nets.g_xy, batches.y_clips),
+            spatiotemporal_loss(batches.y_moved, nets.r_y, nets.g_yx, batches.x_clips),
+            spatiotemporal_loss(batches.x_moved, nets.r_x, nets.g_xy, batches.y_clips),
             w,
         ).item()
         assert total == pytest.approx(expected, rel=1e-6)
@@ -361,18 +378,94 @@ class TestSequenceObjective:
         for net in (nets.g_xy, nets.g_yx, nets.r_x, nets.r_y):
             for p in net.params.values():
                 p.data += rng_.normal(size=p.data.shape).astype(np.float32) * 0.05
+        x_clips = rng_.normal(size=(1, 3) + shape).astype(np.float32)
+        y_clips = rng_.normal(size=(1, 3) + shape).astype(np.float32)
         frames = lambda n: rng_.normal(size=(n,) + shape).astype(np.float32)
-        batches = SequenceBatches(
-            y_sources=frames(1),
-            x_targets=frames(1),
-            x_sources=frames(1),
-            y_targets=frames(1),
-            x_clips=rng_.normal(size=(1, 3) + shape).astype(np.float32),
-            y_clips=rng_.normal(size=(1, 3) + shape).astype(np.float32),
-        )
         with T.Graph() as g:
+            batches = SequenceBatches(
+                x_moved=_translate_clips(nets.g_yx, y_clips),
+                x_targets=frames(3),
+                y_moved=_translate_clips(nets.g_xy, x_clips),
+                y_targets=frames(3),
+                x_clips=x_clips,
+                y_clips=y_clips,
+            )
             total = sequence_objective(nets, batches, LossWeights())
         T.backward(g, total)
         for net in (nets.g_xy, nets.g_yx, nets.r_x, nets.r_y):
             got = sum(float(np.abs(p.grad).sum()) for p in net.params.values())
             assert got > 0, net.name
+
+
+def _eval(g, batch) -> np.ndarray:
+    return g.forward(Tensor(np.ascontiguousarray(batch))).data
+
+
+def _image_objective_separate_forwards(g_xy, g_yx, x, y, x_targets, y_targets, w) -> float:
+    """The image objective with its own translator forward for every term."""
+    teach = ((x_targets - _eval(g_yx, y)) ** 2).sum() / len(y) + ((y_targets - _eval(g_xy, x)) ** 2).sum() / len(x)
+    cycle = np.abs(x - _eval(g_yx, _eval(g_xy, x))).sum() / len(x)
+    cycle += np.abs(y - _eval(g_xy, _eval(g_yx, y))).sum() / len(y)
+    return teach + w.lambda_cyc * cycle
+
+
+def _spatiotemporal_frame_by_frame(g_fwd, r, g_back, clips) -> float:
+    moved = [_eval(g_fwd, clips[:, t]) for t in range(r.k)]  # one forward per past frame
+    pred = r.forward(Tensor(np.concatenate(moved, axis=1)), Tensor(moved[-1])).data
+    return np.abs(clips[:, r.k] - _eval(g_back, pred)).sum() / len(clips)
+
+
+def _sequence_objective_separate_forwards(nets, x_clips, y_clips, x_targets, y_targets, w) -> float:
+    """The sequence objective with separate forwards for teaching and for each past frame."""
+    frames = lambda clips: clips.reshape((-1,) + clips.shape[2:])
+    teach = ((x_targets - _eval(nets.g_yx, frames(y_clips))) ** 2).sum() / len(x_targets)
+    teach += ((y_targets - _eval(nets.g_xy, frames(x_clips))) ** 2).sum() / len(y_targets)
+    tp = temporal_loss(nets.r_x, x_clips).item() + temporal_loss(nets.r_y, y_clips).item()
+    st = _spatiotemporal_frame_by_frame(nets.g_xy, nets.r_y, nets.g_yx, x_clips)
+    st += _spatiotemporal_frame_by_frame(nets.g_yx, nets.r_x, nets.g_xy, y_clips)
+    return teach + w.lambda1 * tp + w.lambda2 * st
+
+
+class TestSharedTranslations:
+    """One recorded translation per direction gives the objective that
+    separate forwards per term give: only the evaluation order changed."""
+
+    @staticmethod
+    def _perturb(net, seed):
+        rng_ = np.random.default_rng(seed)
+        for p in net.params.values():
+            p.data += rng_.normal(size=p.data.shape) * 0.1
+        return net
+
+    def test_image_objective_equals_separate_forwards(self):
+        g_xy = self._perturb(PointTranslator(dim=2, hidden=6, seed=60, name="gxy", dtype=np.float64), 61)
+        g_yx = self._perturb(PointTranslator(dim=2, hidden=6, seed=62, name="gyx", dtype=np.float64), 63)
+        rng_ = np.random.default_rng(64)
+        x, y, x_t, y_t = (rng_.normal(size=(5, 2)) for _ in range(4))
+        w = LossWeights()
+        with T.Graph():
+            got = image_objective(g_xy, g_yx, x, y, g_yx.forward(Tensor(y)), g_xy.forward(Tensor(x)), x_t, y_t, w)
+        want = _image_objective_separate_forwards(g_xy, g_yx, x, y, x_t, y_t, w)
+        assert got.item() == pytest.approx(want, rel=1e-12)
+
+    def test_sequence_objective_equals_separate_forwards(self):
+        from coopforge.networks import ImageTranslator
+
+        shape, f64 = (1, 4, 4), dict(dtype=np.float64)
+        nets = SequenceNets(
+            g_xy=self._perturb(ImageTranslator(in_shape=shape, base=2, blocks=1, seed=65, name="gxy", **f64), 66),
+            g_yx=self._perturb(ImageTranslator(in_shape=shape, base=2, blocks=1, seed=67, name="gyx", **f64), 68),
+            r_x=self._perturb(TemporalPredictor(in_shape=shape, k=2, base=2, seed=69, name="rx", **f64), 70),
+            r_y=self._perturb(TemporalPredictor(in_shape=shape, k=2, base=2, seed=71, name="ry", **f64), 72),
+        )
+        rng_ = np.random.default_rng(73)
+        x_clips, y_clips = rng_.normal(size=(2, 3) + shape), rng_.normal(size=(2, 3) + shape)
+        x_t, y_t = rng_.normal(size=(6,) + shape), rng_.normal(size=(6,) + shape)
+        w = LossWeights(lambda1=9.0, lambda2=9.0)
+        with T.Graph():
+            batches = SequenceBatches(
+                _translate_clips(nets.g_yx, y_clips), x_t, _translate_clips(nets.g_xy, x_clips), y_t, x_clips, y_clips
+            )
+            got = sequence_objective(nets, batches, w)
+        want = _sequence_objective_separate_forwards(nets, x_clips, y_clips, x_t, y_t, w)
+        assert got.item() == pytest.approx(want, rel=1e-12)

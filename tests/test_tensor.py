@@ -89,6 +89,33 @@ class TestElementwiseGrads:
         b = leaf(rng.normal(size=(4, 3)))
         check_op(lambda: T.concat([a, b], axis=0).square().sum(), {"a": a, "b": b})
 
+    def test_narrow_gradient_lands_in_the_slice(self):
+        # (n, k+1, C, H, W) frames, the past k=2 of 3 taken: the last frame
+        # of each clip gets zero gradient, the sliced ones get the weights
+        rng = np.random.default_rng(9)
+        a = leaf(rng.normal(size=(2, 3, 1, 2, 2)))
+        w = rng.uniform(0.5, 1.5, size=(2, 2, 1, 2, 2))
+        with Graph() as g:
+            out = T.narrow(a, 1, 0, 2)
+            total = (out * Tensor(w)).sum()
+        backward(g, total)
+        np.testing.assert_array_equal(out.data, a.data[:, :2])
+        np.testing.assert_array_equal(a.grad[:, :2], w)
+        assert not a.grad[:, 2].any()
+        w_last = rng.uniform(0.5, 1.5, size=(2, 3, 1, 2, 1))
+        check_op(lambda: (T.narrow(a, -1, 1, 1) * Tensor(w_last)).sum(), {"a": a})
+
+    def test_narrow_of_constant_records_nothing(self):
+        with Graph() as g:
+            out = T.narrow(Tensor(np.ones((3, 4))), 0, 1, 2)
+        assert len(g) == 0 and not out.requires_grad
+
+    def test_narrow_rejects_out_of_range(self):
+        a = Tensor(np.ones((3, 4)))
+        for axis, start, length in ((2, 0, 1), (1, 3, 2), (0, -1, 1), (0, 0, 0)):
+            with pytest.raises(ShapeError):
+                T.narrow(a, axis, start, length)
+
     def test_sq_norm_matches_manual(self):
         rng = np.random.default_rng(8)
         a = leaf(rng.normal(size=(3, 2)))
@@ -407,6 +434,7 @@ class TestApplyRegistry:
             "mean": lambda: apply("mean", a),
             "reshape": lambda: apply("reshape", a, (4,)).sum(),
             "concat": lambda: apply("concat", [a, b], axis=0).sum(),
+            "narrow": lambda: apply("narrow", a, 1, 1, 1).sum(),
             "sq_norm": lambda: apply("sq_norm", a),
             "l1_norm": lambda: apply("l1_norm", a),
             "channel_affine": lambda: apply("channel_affine", x4, gain, bias).square().sum(),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dot_benchmark_config, ring_benchmark_config
 from coopforge import trainer
 from coopforge.domains import DomainDescriptor, generate
 from coopforge.evaluation import refinement_scores, run_translator, translate_sequence
@@ -17,6 +18,7 @@ from coopforge.objectives import (
     spatiotemporal_loss,
     temporal_loss,
 )
+from coopforge.networks import ImageTranslator, PointTranslator
 from coopforge.rng import data_stream
 from coopforge.tensor import Graph, ShapeError, Tensor, backward
 from coopforge.trainer import (
@@ -298,7 +300,9 @@ def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step,
 @pytest.mark.parametrize("lambda1, lambda2", [(0, 0), (9, 9)])
 def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2):
     # the joint update equals one Adam step on sequence_objective over the
-    # replayed batches; at zero lambdas the predictors get zero gradient
+    # replayed batches, with both translations recorded before revision on
+    # the tape the objective extends; at zero lambdas the predictors get
+    # zero gradient
     cfg = dot_cfg(weights=LossWeights(lambda_cyc=9, lambda1=lambda1, lambda2=lambda2))
     dsx, dsy = generate(DOT_X), generate(DOT_Y)
     state = init_state(cfg, dsx, dsy)
@@ -315,12 +319,16 @@ def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2):
     x_clips = _sample_clips(dsx.examples, data_stream(cfg.seed, t, phase=1), cfg.batch, cfg.k)
     x_frames, y_frames = _frames(x_clips), _frames(y_clips)
     per_dir = cfg.batch * (cfg.k + 1)
-    x_tilde = revise(run_translator(twin.g_yx, y_frames), twin.ebm_x, cfg.langevin, chain_offset=0)
-    y_tilde = revise(run_translator(twin.g_xy, x_frames), twin.ebm_y, cfg.langevin, chain_offset=per_dir)
+    graph = Graph()
+    with graph:
+        x_moved = twin.g_yx.forward(Tensor(y_frames))
+        y_moved = twin.g_xy.forward(Tensor(x_frames))
+    x_tilde = revise(x_moved.data, twin.ebm_x, cfg.langevin, chain_offset=0)
+    y_tilde = revise(y_moved.data, twin.ebm_y, cfg.langevin, chain_offset=per_dir)
     nets = SequenceNets(twin.g_xy, twin.g_yx, twin.r_x, twin.r_y)
-    with Graph() as graph:
+    with graph:
         loss = sequence_objective(
-            nets, SequenceBatches(y_frames, x_tilde, x_frames, y_tilde, x_clips, y_clips), cfg.weights
+            nets, SequenceBatches(x_moved, x_tilde, y_moved, y_tilde, x_clips, y_clips), cfg.weights
         )
     backward(graph, loss)
     groups = twin.groups()
@@ -346,9 +354,37 @@ def test_sequence_constant_clips_keep_temporal_losses_small():
     clips = dsx.examples[:, : cfg.k + 1]
     pixels = np.prod(dsx.sample_shape)
     tp = float(temporal_loss(state.r_x, clips).data) / pixels
-    st = float(spatiotemporal_loss(state.g_xy, state.r_y, state.g_yx, clips).data) / pixels
+    moved = run_translator(state.g_xy, clips.reshape((-1,) + dsx.sample_shape))
+    st = float(spatiotemporal_loss(moved, state.r_y, state.g_yx, clips).data) / pixels
     assert tp < 0.05
     assert st < 0.05
+
+
+@pytest.mark.parametrize(
+    "step, pair, make_cfg, translator, calls",
+    [
+        # G_xy(x), G_yx(y) and the two cycle legs
+        (train_iteration, (RING_X, RING_Y), ring_benchmark_config, PointTranslator, 4),
+        # the same four plus the two spatiotemporal back-translations
+        (train_sequence_iteration, (DOT_X, DOT_Y), dot_benchmark_config, ImageTranslator, 6),
+    ],
+    ids=["ring", "dot"],
+)
+def test_one_translator_forward_per_term(monkeypatch, step, pair, make_cfg, translator, calls):
+    cfg = make_cfg()
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state = init_state(cfg, dsx, dsy)
+    seen = []
+    forward = translator.forward
+
+    def counted(self, x):
+        seen.append(self.name)
+        return forward(self, x)
+
+    monkeypatch.setattr(translator, "forward", counted)
+    step(state, dsx.examples, dsy.examples, cfg)
+    assert len(seen) == calls
+    assert seen[:2] == ["g_yx", "g_xy"]
 
 
 def test_sequence_iteration_requires_predictors():

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from coopforge.objectives import cycle_loss
 from coopforge.tensor import Graph, Tensor, backward
 
 
@@ -34,6 +35,13 @@ def check_op(build, params, rtol=1e-6, atol=1e-9):
     for name, p in params.items():
         num = fd_grad(lambda: build().item(), p.data)
         np.testing.assert_allclose(p.grad, num, rtol=rtol, atol=atol, err_msg=name)
+
+
+def round_trip_loss(g_xy, g_yx, x, y):
+    """``cycle_loss`` on translations made here, one forward per direction."""
+    x_moved = g_yx.forward(Tensor(np.asarray(y)))
+    y_moved = g_xy.forward(Tensor(np.asarray(x)))
+    return cycle_loss(g_xy, g_yx, x, y, x_moved, y_moved)
 
 
 class AddConstant:
