@@ -1,17 +1,19 @@
 """Command-line front end: dataset generation, training, translation, eval.
 
 Runs are described by a plain key=value config file (``#`` starts a comment)
-whose keys mirror the training inputs; any key can be overridden on the
-command line with ``--key value``. Every command exits 0 exactly when all of
-its artifacts were written, and prints a one-line cause on failure.
+whose keys are read off the fields of ``RunConfig`` and of the ``TrainConfig``
+it holds; any key can be overridden on the command line with ``--key value``.
+Every command exits 0 exactly when all of its artifacts were written, and
+prints a one-line cause on failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,12 +31,11 @@ from .domains import (
 from .evaluation import eval_descriptor, eval_frames, evaluate, rasterize_points, run_translator, translate_sequence
 from .langevin import LangevinConfig, revise
 from .metrics import default_feature_map, mode_coverage, psnr
-from .objectives import LossWeights
 from .rng import PURPOSE_DATA, stream
 from .tensor import load_ctns, save_ctns
 from .trainer import TrainConfig, load_checkpoint, train
 
-__all__ = ["RunConfig", "CONFIG_SPEC", "build_parser", "main"]
+__all__ = ["RunConfig", "build_parser", "main"]
 
 
 def _parse_bool(text: str) -> bool:
@@ -44,35 +45,6 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
-
-
-_REQUIRED = object()
-
-# key -> (converter, default); _REQUIRED means the config must supply it.
-CONFIG_SPEC: dict = {
-    "iterations": (int, _REQUIRED),
-    "langevin_steps": (int, 15),
-    "step_size": (float, 0.02),
-    "noise_scale": (float, 1.0),
-    "lr_theta_x": (float, 2e-4),
-    "lr_theta_y": (float, 2e-4),
-    "lr_alpha_x": (float, 2e-4),
-    "lr_alpha_y": (float, 2e-4),
-    "batch": (int, 1),
-    "lambda_cyc": (float, 9.0),
-    "lambda1": (float, 9.0),
-    "lambda2": (float, 9.0),
-    "k": (int, 2),
-    "seed": (int, 0),
-    "eval_every": (int, 100),
-    "checkpoint_every": (int, 500),
-    "eval_samples": (int, 200),
-    "reference_scale": (float, 1.0),
-    "sequence_cycle": (_parse_bool, False),
-    "domain_x": (str, _REQUIRED),
-    "domain_y": (str, _REQUIRED),
-    "out": (str, _REQUIRED),
-}
 
 
 def _strip_comment(line: str) -> str:
@@ -88,25 +60,7 @@ def _strip_comment(line: str) -> str:
 class RunConfig:
     """One training run, as read from a key=value file."""
 
-    iterations: int
-    langevin_steps: int
-    step_size: float
-    noise_scale: float
-    lr_theta_x: float
-    lr_theta_y: float
-    lr_alpha_x: float
-    lr_alpha_y: float
-    batch: int
-    lambda_cyc: float
-    lambda1: float
-    lambda2: float
-    k: int
-    seed: int
-    eval_every: int
-    checkpoint_every: int
-    eval_samples: int
-    reference_scale: float
-    sequence_cycle: bool
+    train: TrainConfig
     domain_x: str
     domain_y: str
     out: str
@@ -123,27 +77,28 @@ class RunConfig:
                 raise ValueError(f"config line {lineno}: expected key=value, got {body!r}")
             key, value = body.split("=", 1)
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_SPEC:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             if key in raw:
                 raise ValueError(f"config line {lineno}: duplicate key {key!r}")
             raw[key] = value
         for key, value in (overrides or {}).items():
-            if key not in CONFIG_SPEC:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             raw[key] = value
-        kwargs = {}
-        for key, (convert, default) in CONFIG_SPEC.items():
+        values = {}
+        for key, (path, convert, default) in _CONFIG_KEYS.items():
             if key in raw:
                 try:
-                    kwargs[key] = convert(raw[key])
+                    values[path] = convert(raw[key])
                 except ValueError as err:
                     raise ValueError(f"config key {key}: {err}") from None
-            elif default is _REQUIRED:
+            elif default is MISSING:
                 raise ValueError(f"config key {key!r} is required")
             else:
-                kwargs[key] = default
-        return cls(**kwargs)
+                values[path] = default
+        values[("train", "langevin", "seed")] = values[("train", "seed")]  # the run seed keys the noise too
+        return _build(cls, values)
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -152,27 +107,40 @@ class RunConfig:
             raise FileNotFoundError(f"config file {path} not found")
         return cls.parse_text(path.read_text(), overrides)
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            iterations=self.iterations,
-            langevin=LangevinConfig(self.langevin_steps, self.step_size, self.noise_scale, seed=self.seed),
-            batch=self.batch,
-            lr_theta_x=self.lr_theta_x,
-            lr_theta_y=self.lr_theta_y,
-            lr_alpha_x=self.lr_alpha_x,
-            lr_alpha_y=self.lr_alpha_y,
-            weights=LossWeights(self.lambda_cyc, self.lambda1, self.lambda2),
-            k=self.k,
-            seed=self.seed,
-            eval_every=self.eval_every,
-            checkpoint_every=self.checkpoint_every,
-            eval_samples=self.eval_samples,
-            reference_scale=self.reference_scale,
-            sequence_cycle=self.sequence_cycle,
-        )
-
     def descriptors(self) -> tuple[DomainDescriptor, DomainDescriptor]:
         return parse_descriptor(self.domain_x), parse_descriptor(self.domain_y)
+
+
+# A scalar field under RunConfig is set by the key of its own name, except the
+# sampler's steps (key langevin_steps) and seed (no key: the run seed sets it).
+_KEY_OF = {("train", "langevin", "steps"): "langevin_steps", ("train", "langevin", "seed"): None}
+_CONVERTERS = {int: int, float: float, bool: _parse_bool, str: str}
+
+
+def _leaves(cls, path=(), defaults=None):
+    """(key, path, type, default or MISSING) of each scalar field under ``cls``;
+    a nested dataclass reads its defaults off its owner's default instance."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        default = f.default if defaults is None else getattr(defaults, f.name)
+        if is_dataclass(hints[f.name]):
+            yield from _leaves(hints[f.name], path + (f.name,), None if default is MISSING else default)
+        else:
+            yield _KEY_OF.get(path + (f.name,), f.name), path + (f.name,), hints[f.name], default
+
+
+def _build(cls, values: dict, path=()):
+    """Instantiate ``cls`` from path -> value, nested dataclasses included."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        sub = path + (f.name,)
+        kwargs[f.name] = _build(hints[f.name], values, sub) if is_dataclass(hints[f.name]) else values[sub]
+    return cls(**kwargs)
+
+
+# key -> (path under RunConfig, converter, default or MISSING)
+_CONFIG_KEYS = {key: (path, _CONVERTERS[kind], default) for key, path, kind, default in _leaves(RunConfig) if key}
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +185,12 @@ def _write_like(src: Path, sample: np.ndarray, out_dir: Path) -> Path:
     return dest
 
 
-def _translate_batch(batch: np.ndarray, g, model, lng: LangevinConfig) -> np.ndarray:
-    moved = run_translator(g, batch)
-    return moved if lng.steps == 0 else revise(moved, model, lng)
+def _given(args: argparse.Namespace, names) -> dict:
+    """name -> value of each of these flags that was given on the command line."""
+    return {k: v for k in names if (v := getattr(args, k)) is not None}
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    return {k: v for k in CONFIG_SPEC if (v := getattr(args, k, None)) is not None}
+_SAMPLER_FLAGS = [f.name for f in fields(LangevinConfig)]  # the dests of translate's and sample's sampler flags
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +211,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = RunConfig.from_file(args.config, _collect_overrides(args))
+    run = RunConfig.from_file(args.config, _given(args, _CONFIG_KEYS))
     desc_x, desc_y = run.descriptors()
-    state, metrics_path = train(run.train_config(), desc_x, desc_y, run.out, resume_from=args.resume)
+    state, metrics_path = train(run.train, desc_x, desc_y, run.out, resume_from=args.resume)
     print(f"wrote {metrics_path}")
     print(metrics_path.read_text().strip().splitlines()[-1])
     return 0
@@ -258,40 +225,26 @@ def cmd_translate(args: argparse.Namespace) -> int:
         g, model = state.g_xy, state.ebm_y
     else:
         g, model = state.g_yx, state.ebm_x
-    lng = LangevinConfig(
-        steps=cfg.langevin.steps if args.langevin_steps is None else args.langevin_steps,
-        step_size=cfg.langevin.step_size if args.step_size is None else args.step_size,
-        noise_scale=cfg.langevin.noise_scale if args.noise_scale is None else args.noise_scale,
-        seed=cfg.langevin.seed if args.seed is None else args.seed,
-    )
+    lng = replace(cfg.langevin, **_given(args, _SAMPLER_FLAGS))
     in_path = Path(args.input)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
     if in_path.is_dir():
         files = sorted(p for p in in_path.iterdir() if p.suffix in (".ppm", ".ctns"))
         if not files:
             raise ValueError(f"no .ppm or .ctns inputs in {in_path}")
-        frames = np.stack([_read_sample(p) for p in files])
-        moved = translate_sequence(frames, g, model, lng)
-        for src, frame in zip(files, moved):
-            written.append(_write_like(src, frame, out))
-    elif in_path.suffix == ".ppm":
-        image = _read_sample(in_path)
-        moved = _translate_batch(image[None], g, model, lng)[0]
-        written.append(_write_like(in_path, moved, out))
+        moved = translate_sequence(np.stack([_read_sample(p) for p in files]), g, model, lng)
+        written = [_write_like(src, frame, out) for src, frame in zip(files, moved)]
     else:
         arr = _read_sample(in_path)
         if arr.ndim in (1, 3):  # one point / one image
-            moved = _translate_batch(arr[None], g, model, lng)[0]
-        elif arr.ndim in (2, 4):  # point batch / frame stack
-            moved = _translate_batch(arr, g, model, lng)
-        elif arr.ndim == 5:  # batch of sequences
+            moved = translate_sequence(arr[None], g, model, lng)[0]
+        elif arr.ndim == 5 and len(arr):  # batch of sequences, each revised on its own chains
             moved = np.stack([translate_sequence(seq, g, model, lng) for seq in arr])
-        else:
-            raise ValueError(f"cannot translate rank-{arr.ndim} input {in_path}")
-        written.append(_write_like(in_path, moved, out))
+        else:  # point batch / frame stack; translate_sequence rejects other ranks and empty batches
+            moved = translate_sequence(arr, g, model, lng)
+        written = [_write_like(in_path, moved, out)]
 
     print(f"wrote {len(written)} translated file(s) to {out}")
     return 0
@@ -341,16 +294,13 @@ def _motion_paired(desc_x: DomainDescriptor, desc_y: DomainDescriptor) -> bool:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     state, cfg, desc_x, desc_y = load_checkpoint(args.checkpoint)
     desc = desc_x if args.domain == "x" else desc_y
     model = state.ebm_x if args.domain == "x" else state.ebm_y
     shape = generate(with_count(desc, 3)).sample_shape
-    lng = LangevinConfig(
-        steps=cfg.langevin.steps if args.steps is None else args.steps,
-        step_size=cfg.langevin.step_size if args.step_size is None else args.step_size,
-        noise_scale=cfg.langevin.noise_scale if args.noise_scale is None else args.noise_scale,
-        seed=args.seed,
-    )
+    lng = replace(cfg.langevin, **_given(args, _SAMPLER_FLAGS))
     gen = stream(args.seed, PURPOSE_DATA, a=args.count, b=0)
     x0 = (cfg.reference_scale * gen.standard_normal((args.count,) + shape)).astype(np.float32)
     samples = revise(x0, model, lng)
@@ -380,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the training loop from a config file")
     p.add_argument("config", help="key=value config file")
     p.add_argument("--resume", default=None, metavar="CKPT", help="checkpoint directory to continue from")
-    for key in CONFIG_SPEC:
+    for key in _CONFIG_KEYS:
         p.add_argument(f"--{key}", default=None, metavar="VALUE", help=f"override config key {key}")
     p.set_defaults(func=cmd_train)
 
@@ -388,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help=".ctns/.ppm file, or a directory of frames")
     p.add_argument("--direction", required=True, choices=("x2y", "y2x"))
-    p.add_argument("--langevin-steps", type=int, default=None, help="revision steps (0 = raw translator output)")
+    p.add_argument("--langevin-steps", dest="steps", type=int, default=None, help="revision steps (0 = raw translator output)")
     p.add_argument("--step-size", type=float, default=None)
     p.add_argument("--noise-scale", type=float, default=None)
     p.add_argument("--seed", type=int, default=None, help="revision noise seed")

@@ -40,15 +40,15 @@ def run_translator(net: Net, batch: np.ndarray) -> np.ndarray:
     return net.forward(Tensor(np.ascontiguousarray(batch))).data
 
 
-def translate_sequence(frames: np.ndarray, g: Net, p: EnergyModel, cfg: LangevinConfig) -> np.ndarray:
-    """Frame-wise translation followed by Langevin revision.
+def translate_sequence(batch: np.ndarray, g: Net, p: EnergyModel, cfg: LangevinConfig) -> np.ndarray:
+    """Translate a batch, then revise it by Langevin dynamics.
 
-    (T, C, H, W) in, (T, C, H, W) out; steps = 0 returns the pure
-    translator output.
+    An (n, d) point batch or (n, C, H, W) frames (a sequence's T frames) in,
+    the same shape out; steps = 0 returns the pure translator output.
     """
-    arr = np.asarray(frames)
-    if arr.ndim != 4 or arr.shape[0] == 0:
-        raise ShapeError(f"expected a (T, C, H, W) sequence, got {arr.shape}")
+    arr = np.asarray(batch)
+    if arr.ndim not in (2, 4) or arr.shape[0] == 0:
+        raise ShapeError(f"expected a non-empty (n, d) point batch or (n, C, H, W) frames, got shape {arr.shape}")
     moved = run_translator(g, arr)
     if cfg.steps == 0:
         return moved

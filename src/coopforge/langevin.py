@@ -65,7 +65,8 @@ def revise(x0: np.ndarray, model: EnergyModel, cfg: LangevinConfig, chain_offset
     The input is never mutated. Chain i draws from the stream keyed
     (cfg.seed, chain_offset + i), so results are bitwise independent of how
     chains are grouped into batches, up to floating-point reassociation in
-    batched network evaluation. With steps = 0 the output equals x0.
+    batched network evaluation. With steps = 0 or an empty batch the
+    output equals x0.
     """
     x0 = np.asarray(x0)
     if x0.dtype not in (np.float32, np.float64):
@@ -73,7 +74,7 @@ def revise(x0: np.ndarray, model: EnergyModel, cfg: LangevinConfig, chain_offset
     if not np.isfinite(x0).all():
         raise LangevinDiverged("non-finite state at step 0 (initial batch)")
     x = x0.copy()
-    if cfg.steps == 0:
+    if cfg.steps == 0 or x.size == 0:
         return x
     n = x.shape[0]
     half_sq = 0.5 * cfg.step_size * cfg.step_size

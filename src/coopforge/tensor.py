@@ -27,6 +27,7 @@ __all__ = [
     "leaky_relu",
     "matmul",
     "grad_check",
+    "numeric_grad",
     "GradCheckReport",
     "save_ctns",
     "load_ctns",
@@ -617,9 +618,24 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-6)
 
 
+def numeric_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central finite differences, in float64, of the scalar ``f()`` with respect
+    to the contiguous array ``x`` it reads; each coordinate moves in place and is restored."""
+    grad = np.zeros(x.shape)
+    flat, gflat = x.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        fp = f()
+        flat[i] = orig - step
+        fm = f()
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2.0 * step)
+    return grad
+
+
 def grad_check(params, loss_fn, step: float = 1e-3) -> GradCheckReport:
-    """Compare reverse-mode gradients of ``loss_fn`` against central finite
-    differences, coordinate by coordinate.
+    """Compare reverse-mode gradients of ``loss_fn`` against ``numeric_grad``.
 
     ``params`` is a dict name -> Tensor (float64 recommended); ``loss_fn``
     takes no arguments, reads the current parameter values and returns a
@@ -637,17 +653,8 @@ def grad_check(params, loss_fn, step: float = 1e-3) -> GradCheckReport:
     per_param = {}
     worst = ("", 0.0)
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        err = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = loss_fn().item()
-            flat[i] = orig - step
-            lm = loss_fn().item()
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * step)
-            err = max(err, _rel_err(float(analytic[name].reshape(-1)[i]), numeric))
+        numeric = numeric_grad(lambda: loss_fn().item(), p.data, step).reshape(-1).tolist()
+        err = max([0.0] + [_rel_err(float(a), n) for a, n in zip(analytic[name].reshape(-1), numeric)])
         per_param[name] = err
         if err >= worst[1]:
             worst = (name, err)

@@ -1,12 +1,13 @@
 """Command-line contract tests: config parsing, artifacts, exit codes."""
 
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from coopforge.cli import CONFIG_SPEC, RunConfig, main
+from coopforge.cli import RunConfig, build_parser, main
 from coopforge.domains import descriptor_line, generate, load_ppm, parse_descriptor, save_ppm
 from coopforge.tensor import load_ctns, save_ctns
 from coopforge.evaluation import run_translator
@@ -40,19 +41,19 @@ MINIMAL = f"iterations = 5\ndomain_x = {RING_X_LINE}\ndomain_y = {RING_Y_LINE}\n
 
 
 def test_defaults_follow_training_recipe():
-    run = RunConfig.parse_text(MINIMAL)
-    assert run.iterations == 5
-    assert run.langevin_steps == 15
-    assert run.step_size == 0.02
-    assert run.noise_scale == 1.0
-    assert (run.lr_theta_x, run.lr_theta_y, run.lr_alpha_x, run.lr_alpha_y) == (2e-4,) * 4
-    assert run.batch == 1
-    assert (run.lambda_cyc, run.lambda1, run.lambda2) == (9.0, 9.0, 9.0)
-    assert run.k == 2
-    assert run.seed == 0
-    assert (run.eval_every, run.checkpoint_every, run.eval_samples) == (100, 500, 200)
-    assert run.reference_scale == 1.0
-    assert run.sequence_cycle is False
+    cfg = RunConfig.parse_text(MINIMAL).train
+    assert cfg.iterations == 5
+    assert cfg.langevin.steps == 15
+    assert cfg.langevin.step_size == 0.02
+    assert cfg.langevin.noise_scale == 1.0
+    assert (cfg.lr_theta_x, cfg.lr_theta_y, cfg.lr_alpha_x, cfg.lr_alpha_y) == (2e-4,) * 4
+    assert cfg.batch == 1
+    assert (cfg.weights.lambda_cyc, cfg.weights.lambda1, cfg.weights.lambda2) == (9.0, 9.0, 9.0)
+    assert cfg.k == 2
+    assert cfg.seed == 0
+    assert (cfg.eval_every, cfg.checkpoint_every, cfg.eval_samples) == (100, 500, 200)
+    assert cfg.reference_scale == 1.0
+    assert cfg.sequence_cycle is False
 
 
 def test_comments_and_blank_lines_ignored():
@@ -64,7 +65,7 @@ def test_comments_and_blank_lines_ignored():
         f"domain_y = {RING_Y_LINE}\n"
         "out = /tmp/x\n"
     )
-    assert RunConfig.parse_text(text).iterations == 3
+    assert RunConfig.parse_text(text).train.iterations == 3
 
 
 def test_unknown_key_rejected():
@@ -93,26 +94,78 @@ def test_non_assignment_line_rejected():
 
 
 def test_overrides_win_and_are_validated():
-    run = RunConfig.parse_text(MINIMAL, overrides={"iterations": "7", "seed": "3"})
-    assert (run.iterations, run.seed) == (7, 3)
+    cfg = RunConfig.parse_text(MINIMAL, overrides={"iterations": "7", "seed": "3"}).train
+    assert (cfg.iterations, cfg.seed) == (7, 3)
     with pytest.raises(ValueError, match="unknown config key 'bogus'"):
         RunConfig.parse_text(MINIMAL, overrides={"bogus": "1"})
 
 
 def test_bool_values():
-    assert RunConfig.parse_text(MINIMAL + "sequence_cycle = on\n").sequence_cycle is True
-    assert RunConfig.parse_text(MINIMAL + "sequence_cycle = FALSE\n").sequence_cycle is False
+    assert RunConfig.parse_text(MINIMAL + "sequence_cycle = on\n").train.sequence_cycle is True
+    assert RunConfig.parse_text(MINIMAL + "sequence_cycle = FALSE\n").train.sequence_cycle is False
     with pytest.raises(ValueError, match="sequence_cycle"):
         RunConfig.parse_text(MINIMAL + "sequence_cycle = maybe\n")
 
 
 def test_train_config_mapping():
-    run = RunConfig.parse_text(MINIMAL + "step_size = 0.01\nlambda_cyc = 4\nseed = 11\n")
-    cfg = run.train_config()
+    cfg = RunConfig.parse_text(MINIMAL + "step_size = 0.01\nlambda_cyc = 4\nseed = 11\n").train
     assert isinstance(cfg, TrainConfig)
     assert (cfg.langevin.steps, cfg.langevin.step_size, cfg.langevin.seed) == (15, 0.01, 11)
     assert cfg.weights.lambda_cyc == 4.0
     assert cfg.seed == 11
+
+
+def _leaf_fields(obj, path=()):
+    """(path, value) of every scalar field of a dataclass instance, nested ones included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, path + (f.name,))
+        else:
+            yield path + (f.name,), value
+
+
+def _other(value):
+    if isinstance(value, bool):
+        return not value
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+def _key_for(path) -> str:
+    return "langevin_steps" if path == ("langevin", "steps") else path[-1]
+
+
+def test_every_schedule_field_has_one_key_and_one_flag():
+    train_flags = set(vars(build_parser().parse_args(["train", "run.cfg"]))) - {"command", "func", "config", "resume"}
+    base = RunConfig.parse_text(MINIMAL).train
+    leaves = dict(_leaf_fields(base))
+    schedule = [path for path in leaves if path != ("langevin", "seed")]
+    assert train_flags == {_key_for(path) for path in schedule} | {"domain_x", "domain_y", "out"}
+    assert len(train_flags) == 22
+    for path in schedule:
+        key, value = _key_for(path), str(_other(leaves[path]))
+        body = MINIMAL.replace("iterations = 5\n", "") if key == "iterations" else MINIMAL
+        from_file = RunConfig.parse_text(body + f"{key} = {value}\n").train
+        ns = build_parser().parse_args(["train", "run.cfg", f"--{key}", value])
+        from_flag = RunConfig.parse_text(MINIMAL, overrides={key: getattr(ns, key)}).train
+        assert from_flag == from_file
+        changed = {p for p, v in _leaf_fields(from_file) if v != leaves[p]}
+        assert changed == ({path, ("langevin", "seed")} if key == "seed" else {path}), key
+
+
+def test_parsed_defaults_are_the_dataclass_defaults():
+    assert RunConfig.parse_text(MINIMAL).train == TrainConfig(iterations=5)
+
+
+def test_config_setting_every_key_survives_a_checkpoint(tmp_path):
+    leaves = dict(_leaf_fields(TrainConfig(iterations=5)))
+    text = "".join(f"{_key_for(p)} = {_other(v)}\n" for p, v in leaves.items() if p != ("langevin", "seed"))
+    run = RunConfig.parse_text(text + f"domain_x = {RING_X_LINE}\ndomain_y = {RING_Y_LINE}\nout = {tmp_path}\n")
+    cfg = run.train
+    assert all(v != leaves[p] for p, v in _leaf_fields(cfg))
+    dx, dy = run.descriptors()
+    root = save_checkpoint(init_state(cfg, generate(dx), generate(dy)), cfg, dx, dy, tmp_path)
+    assert load_checkpoint(root)[1] == cfg
 
 
 def test_descriptor_round_trip():
@@ -159,7 +212,6 @@ def test_flag_override_changes_run(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_text(tmp_path / "a"))
     assert main(["train", str(cfg), "--out", str(tmp_path / "c"), "--seed", "5"]) == 0
-    rows_a = None
     assert main(["train", str(cfg), "--out", str(tmp_path / "d")]) == 0
     assert _rows_without_wall_time(tmp_path / "c" / "metrics.csv") != _rows_without_wall_time(
         tmp_path / "d" / "metrics.csv"
@@ -273,6 +325,19 @@ def test_translate_incompatible_shape_fails(ring_run, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_translate_empty_batch_fails_at_any_step_count(ring_run, tmp_path, capsys):
+    src = tmp_path / "empty.ctns"
+    save_ctns(np.zeros((0, 2), dtype=np.float32), src)
+    for steps in ("0", "5"):
+        rc = main(
+            ["translate", "--checkpoint", str(ring_run["ckpt"]), "--input", str(src),
+             "--direction", "x2y", "--langevin-steps", steps, "--out", str(tmp_path / steps)]
+        )
+        assert rc == 1
+        assert "non-empty" in capsys.readouterr().err
+        assert not (tmp_path / steps / "empty.ctns").exists()
+
+
 def test_translate_frame_directory(dot_run, tmp_path):
     frames = generate(parse_descriptor(DOT_X_LINE)).examples[0][:3]
     src = tmp_path / "frames"
@@ -347,6 +412,17 @@ def test_sample_writes_artifacts(ring_run, tmp_path):
     assert samples.shape == (32, 2)
     assert samples.dtype == np.float32
     assert (out / "samples.ppm").exists()
+
+
+def test_sample_rejects_count_below_one(ring_run, tmp_path, capsys):
+    for count in ("0", "-3"):
+        rc = main(
+            ["sample", "--checkpoint", str(ring_run["ckpt"]), "--domain", "y", "--count", count,
+             "--noise-scale", "0", "--out", str(tmp_path / count)]
+        )
+        assert rc == 1
+        assert "--count" in capsys.readouterr().err
+        assert not (tmp_path / count).exists()
 
 
 def test_sample_is_seed_deterministic(ring_run, tmp_path):

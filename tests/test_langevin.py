@@ -24,6 +24,13 @@ class TestBasics:
         np.testing.assert_array_equal(out, x0)
         assert out is not x0
 
+    def test_empty_batch_returns_empty_copy(self, reference_model):
+        x0 = np.zeros((0, 2), dtype=np.float32)
+        for noise in (1.0, 0.0):
+            out = revise(x0, reference_model, LangevinConfig(steps=3, step_size=0.1, noise_scale=noise))
+            assert out.shape == (0, 2) and out.dtype == np.float32
+            assert out is not x0
+
     def test_input_not_mutated(self, reference_model):
         x0 = np.ones((3, 2), dtype=np.float32)
         before = x0.copy()

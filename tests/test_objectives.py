@@ -25,8 +25,8 @@ from coopforge.objectives import (
     teach_loss,
     temporal_loss,
 )
-from coopforge.tensor import Tensor, grad_check
-from util import AddConstant, fd_grad, round_trip_loss
+from coopforge.tensor import Tensor, grad_check, numeric_grad
+from util import AddConstant, round_trip_loss
 
 
 class LinearScorer(Net):
@@ -92,7 +92,7 @@ class TestEbmGrad:
             return d - s
 
         for name, p in net.params.items():
-            num = fd_grad(objective, p.data, step=1e-5)
+            num = numeric_grad(objective, p.data, step=1e-5)
             rel = np.abs(grads[name] - num) / np.maximum.reduce(
                 [np.abs(grads[name]), np.abs(num), np.full_like(num, 1e-6)]
             )

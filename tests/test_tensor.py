@@ -15,13 +15,14 @@ from coopforge.tensor import (
     CtnsError,
     backward,
     grad_check,
+    numeric_grad,
     apply,
     load_ctns,
     save_ctns,
 )
 
 
-from util import check_op, fd_grad, leaf
+from util import check_op, leaf
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +462,16 @@ class TestApplyRegistry:
 
 
 class TestGradCheck:
+    def test_numeric_grad_matches_closed_form(self):
+        # d/dx sum(x^3) = 3x^2; central differences of a cubic are off by
+        # exactly step^2, a one-sided difference would be off by 3*x*step.
+        x = np.random.default_rng(18).normal(size=(3, 4))
+        before = x.copy()
+        step = 1e-3
+        num = numeric_grad(lambda: float(np.sum(x**3)), x, step)
+        np.testing.assert_allclose(num, 3 * before**2 + step**2, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(x, before)
+
     def test_clean_model_passes(self):
         rng = np.random.default_rng(19)
         w = leaf(rng.normal(size=(3, 2)))

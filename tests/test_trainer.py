@@ -425,6 +425,28 @@ def test_translate_sequence_validates_shape():
         translate_sequence(np.zeros((16, 16)), state.g_xy, state.ebm_y, LangevinConfig(steps=0, step_size=0.02))
 
 
+def test_translate_sequence_serves_point_batches():
+    cfg = ring_cfg()
+    dsx, dsy = generate(RING_X), generate(RING_Y)
+    state = init_state(cfg, dsx, dsy)
+    points = dsx.examples[:5]
+    out = translate_sequence(points, state.g_xy, state.ebm_y, LangevinConfig(steps=0, step_size=0.02))
+    np.testing.assert_array_equal(out, run_translator(state.g_xy, points))
+    lcfg = LangevinConfig(steps=3, step_size=0.02, seed=4)
+    np.testing.assert_array_equal(
+        translate_sequence(points, state.g_xy, state.ebm_y, lcfg),
+        revise(run_translator(state.g_xy, points), state.ebm_y, lcfg),
+    )
+
+
+def test_translate_sequence_rejects_empty_batch():
+    cfg = ring_cfg()
+    state = init_state(cfg, generate(RING_X), generate(RING_Y))
+    for steps in (0, 3):
+        with pytest.raises(ShapeError, match="non-empty"):
+            translate_sequence(np.zeros((0, 2), dtype=np.float32), state.g_xy, state.ebm_y, LangevinConfig(steps, 0.02))
+
+
 # ---------------------------------------------------------------- checkpoints & train()
 
 
