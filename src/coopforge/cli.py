@@ -28,11 +28,11 @@ from .domains import (
     save_ppm,
     with_count,
 )
-from .evaluation import eval_descriptor, eval_frames, evaluate, rasterize_points, run_translator, translate_sequence
+from .evaluation import eval_descriptor, eval_frames, evaluate, rasterize_points, translate_sequence
 from .langevin import LangevinConfig, revise
 from .metrics import default_feature_map, mode_coverage, psnr
 from .rng import PURPOSE_DATA, stream
-from .tensor import load_ctns, save_ctns
+from .tensor import ShapeError, load_ctns, save_ctns
 from .trainer import TrainConfig, load_checkpoint, train
 
 __all__ = ["RunConfig", "build_parser", "main"]
@@ -234,7 +234,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
         files = sorted(p for p in in_path.iterdir() if p.suffix in (".ppm", ".ctns"))
         if not files:
             raise ValueError(f"no .ppm or .ctns inputs in {in_path}")
-        moved = translate_sequence(np.stack([_read_sample(p) for p in files]), g, model, lng)
+        frames = [_read_sample(p) for p in files]
+        for path, frame in zip(files, frames):
+            if frame.shape != frames[0].shape:
+                raise ShapeError(f"{path} has shape {frame.shape}, but {files[0]} has {frames[0].shape}")
+        moved = translate_sequence(np.stack(frames), g, model, lng)
         written = [_write_like(src, frame, out) for src, frame in zip(files, moved)]
     else:
         arr = _read_sample(in_path)
@@ -256,17 +260,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ds_y = generate(eval_descriptor(desc_y, cfg))
     eval_x, eval_y = eval_frames(ds_x), eval_frames(ds_y)
     fm = default_feature_map(ds_x.sample_shape)
-    scores = evaluate(state, eval_x, eval_y, cfg, fm)
+    scores, to_y, _ = evaluate(state, eval_x, eval_y, fm)
 
     mode_min = mode_unc = float("nan")
     if desc_y.name == "ring":
-        cov = mode_coverage(run_translator(state.g_xy, eval_x), ring_mode_centers(desc_y), 3.0 * ring_mode_std(desc_y))
+        cov = mode_coverage(to_y, ring_mode_centers(desc_y), 3.0 * ring_mode_std(desc_y))
         mode_min, mode_unc = float(cov.fractions.min()), cov.uncaptured
 
     pair_psnr = float("nan")
     if ds_x.kind == "sequences" and _motion_paired(desc_x, desc_y):
-        translated = run_translator(state.g_xy, eval_x)
-        pair_psnr = float(np.mean([psnr(t, y, 1.0) for t, y in zip(translated, eval_y)]))
+        pair_psnr = float(np.mean([psnr(t, y, 1.0) for t, y in zip(to_y, eval_y)]))
 
     row = {
         "fd_x": scores["fd_x"],

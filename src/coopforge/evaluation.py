@@ -72,19 +72,19 @@ def eval_langevin(cfg) -> LangevinConfig:
     return replace(cfg.langevin, seed=cfg.langevin.seed + _EVAL_SEED_SHIFT)
 
 
-def evaluate(state, eval_x: np.ndarray, eval_y: np.ndarray, cfg, fm: FeatureMap) -> dict:
-    """Held-out metrics: directional distances plus the round-trip error.
-
-    The round trips start from the two translations the distances use, so
-    ``cycle_err`` equals ``metrics.cycle_error`` on the same sets.
+def evaluate(state, eval_x: np.ndarray, eval_y: np.ndarray, fm: FeatureMap) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Held-out distances and round-trip error, with the translations
+    G_xy(eval_x) and G_yx(eval_y) they read. The round trips start from
+    those translations, so ``cycle_err`` equals ``metrics.cycle_error``.
     """
     to_y = run_translator(state.g_xy, eval_x)
     to_x = run_translator(state.g_yx, eval_y)
-    return {
+    scores = {
         "fd_x": frechet_distance(to_y, eval_y, fm),
         "fd_y": frechet_distance(to_x, eval_x, fm),
         "cycle_err": float(cycle_loss(state.g_xy, state.g_yx, eval_x, eval_y, to_x, to_y).data),
     }
+    return scores, to_y, to_x
 
 
 def refinement_scores(state, eval_x: np.ndarray, eval_y: np.ndarray, cfg, fm: FeatureMap) -> dict:

@@ -27,11 +27,10 @@ __all__ = [
     "cycle_loss",
     "temporal_loss",
     "spatiotemporal_loss",
+    "clip_frames",
     "combine_sequence_losses",
     "image_objective",
     "sequence_objective",
-    "SequenceNets",
-    "SequenceBatches",
 ]
 
 
@@ -39,7 +38,7 @@ __all__ = [
 class LossWeights:
     """Weights of the composite objectives.
 
-    ``lambda_cyc`` scales the cycle term in the image objective; ``lambda1``
+    ``lambda_cyc`` scales the cycle term of both objectives; ``lambda1``
     and ``lambda2`` scale the temporal and spatiotemporal terms in the
     sequence objective. All published values are 9.
     """
@@ -149,6 +148,13 @@ def _split_clips(clips, k: int) -> tuple[list[Tensor], Tensor]:
     return past, future
 
 
+def clip_frames(clips) -> np.ndarray:
+    """Every frame of (n, k+1, C, H, W) clips in clip order, (n*(k+1), C, H, W):
+    the batch order of every translation the sequence losses read."""
+    arr = np.asarray(clips.data if isinstance(clips, Tensor) else clips)
+    return arr.reshape((-1,) + arr.shape[2:])
+
+
 def temporal_loss(r: TemporalPredictor, clips) -> Tensor:
     """Next-frame prediction error: mean over clips of
     ||x_{t+k} - R(x_t, ..., x_{t+k-1})||_1."""
@@ -183,34 +189,6 @@ def spatiotemporal_loss(moved, r_other: TemporalPredictor, g_back: Net, clips) -
     return T.sub(future, pred_back).l1_norm() * (1.0 / n)
 
 
-@dataclass
-class SequenceNets:
-    """The four networks trained jointly on sequences."""
-
-    g_xy: Net
-    g_yx: Net
-    r_x: TemporalPredictor
-    r_y: TemporalPredictor
-
-
-@dataclass
-class SequenceBatches:
-    """Inputs of one sequence-objective evaluation.
-
-    ``x_clips``/``y_clips`` are (n, k+1, C, H, W) windows from each domain.
-    ``x_moved`` is G_yx of every frame of ``y_clips`` in clip order and is
-    taught onto ``x_targets`` (Langevin revisions, constants); ``y_moved``
-    and ``y_targets`` are the same for G_xy and ``x_clips``.
-    """
-
-    x_moved: Tensor
-    x_targets: np.ndarray
-    y_moved: Tensor
-    y_targets: np.ndarray
-    x_clips: np.ndarray
-    y_clips: np.ndarray
-
-
 def combine_sequence_losses(
     teach_yx: Tensor,
     teach_xy: Tensor,
@@ -229,12 +207,27 @@ def combine_sequence_losses(
     return (teach_yx + teach_xy) + w.lambda1 * (tp_x + tp_y) + w.lambda2 * (st_x + st_y)
 
 
-def sequence_objective(nets: SequenceNets, batches: SequenceBatches, w: LossWeights) -> Tensor:
-    """Joint objective of translators and temporal predictors on sequences."""
-    teach_yx = teach_loss(batches.x_moved, batches.x_targets)
-    teach_xy = teach_loss(batches.y_moved, batches.y_targets)
-    tp_x = temporal_loss(nets.r_x, batches.x_clips)
-    tp_y = temporal_loss(nets.r_y, batches.y_clips)
-    st_x = spatiotemporal_loss(batches.y_moved, nets.r_y, nets.g_yx, batches.x_clips)
-    st_y = spatiotemporal_loss(batches.x_moved, nets.r_x, nets.g_xy, batches.y_clips)
-    return combine_sequence_losses(teach_yx, teach_xy, tp_x, tp_y, st_x, st_y, w)
+def sequence_objective(
+    g_xy: Net, g_yx: Net, r_x: TemporalPredictor, r_y: TemporalPredictor,
+    x_clips, y_clips, x_moved, y_moved, x_targets, y_targets, w: LossWeights,
+) -> Tensor:
+    """Joint objective of translators and temporal predictors on sequences.
+
+    ``x_clips``/``y_clips`` are (n, k+1, C, H, W) windows from each domain;
+    x_moved = G_yx of every frame of ``y_clips`` in clip order is taught onto
+    ``x_targets``, and y_moved = G_xy of ``x_clips``'s frames onto
+    ``y_targets``. The six terms of ``combine_sequence_losses`` come first,
+    then lambda_cyc * cycle over the clips' frames, left out of the tape
+    when its weight is zero.
+    """
+    teach_yx = teach_loss(x_moved, x_targets)
+    teach_xy = teach_loss(y_moved, y_targets)
+    tp_x = temporal_loss(r_x, x_clips)
+    tp_y = temporal_loss(r_y, y_clips)
+    st_x = spatiotemporal_loss(y_moved, r_y, g_yx, x_clips)
+    st_y = spatiotemporal_loss(x_moved, r_x, g_xy, y_clips)
+    loss = combine_sequence_losses(teach_yx, teach_xy, tp_x, tp_y, st_x, st_y, w)
+    if w.lambda_cyc > 0:
+        cycle = cycle_loss(g_xy, g_yx, clip_frames(x_clips), clip_frames(y_clips), x_moved, y_moved)
+        loss = loss + w.lambda_cyc * cycle
+    return loss

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,7 @@ from .evaluation import eval_descriptor, eval_frames, evaluate, write_grid
 from .langevin import LangevinConfig, LangevinDiverged, revise
 from .metrics import default_feature_map
 from .networks import EnergyModel, Net, TemporalPredictor, build_scorer, build_translator
-from .objectives import (
-    LossWeights,
-    SequenceBatches,
-    SequenceNets,
-    cycle_loss,
-    ebm_grad,
-    image_objective,
-    sequence_objective,
-)
+from .objectives import LossWeights, clip_frames, ebm_grad, image_objective, sequence_objective, teach_loss
 from .rng import data_stream
 from .tensor import Graph, Tensor, backward, load_ctns, save_ctns
 
@@ -67,7 +59,8 @@ class TrainConfig:
 
     ``lr_alpha_x`` is the rate of the translator producing domain X
     (the Y-to-X map), mirroring how ``lr_theta_x`` is the rate of the
-    energy model over X.
+    energy model over X. ``weights.lambda_cyc`` always weighs the cycle
+    term on points and images; on sequences only if ``sequence_cycle`` is set.
     """
 
     iterations: int
@@ -277,10 +270,8 @@ def _ebm_update(state: TrainState, model: EnergyModel, group: str, data: np.ndar
 def _iteration_stats(state: TrainState, x_hat, x_tilde, y_hat, y_tilde) -> None:
     e_init = 0.5 * (state.ebm_x.energy_values(x_hat).mean() + state.ebm_y.energy_values(y_hat).mean())
     e_rev = 0.5 * (state.ebm_x.energy_values(x_tilde).mean() + state.ebm_y.energy_values(y_tilde).mean())
-    # the teaching losses from the outputs in hand, added in float32 as the objective adds them
-    teach_x = T.sub(Tensor(x_tilde), Tensor(x_hat)).sq_norm() * (1.0 / len(x_hat))
-    teach_y = T.sub(Tensor(y_tilde), Tensor(y_hat)).sq_norm() * (1.0 / len(y_hat))
-    state.last = {"energy_init": float(e_init), "energy_revised": float(e_rev), "teach_loss": float(teach_x.data + teach_y.data)}
+    teach = teach_loss(x_hat, x_tilde).data + teach_loss(y_hat, y_tilde).data
+    state.last = {"energy_init": float(e_init), "energy_revised": float(e_rev), "teach_loss": float(teach)}
 
 
 def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data: np.ndarray, objective, descend) -> TrainState:
@@ -358,36 +349,27 @@ def _sample_clips(seqs: np.ndarray, gen, count: int, k: int) -> np.ndarray:
     return np.stack([seqs[i, s : s + k + 1] for i, s in zip(idx, starts)])
 
 
-def _frames(clips: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(clips.reshape((-1,) + clips.shape[2:]))
-
-
 def train_sequence_iteration(state: TrainState, seq_x: np.ndarray, seq_y: np.ndarray, cfg: TrainConfig) -> TrainState:
     """One iteration of the sequence variant.
 
     Samples k+1 frame clips from each domain and runs the phase pipeline on
     their frames. Both translators and both temporal predictors jointly
-    descend ``sequence_objective``: teaching plus the weighted temporal and
-    round-trip prediction terms; the plain cycle term is added only when
-    ``cfg.sequence_cycle`` asks for it.
+    descend ``sequence_objective``, whose cycle term is zeroed unless
+    ``cfg.sequence_cycle`` is set.
     """
     if state.r_x is None or state.r_y is None:
         raise ValueError("state has no temporal predictors; build it from sequence datasets")
     y_clips = _sample_clips(seq_y, data_stream(cfg.seed, state.t, phase=0), cfg.batch, cfg.k)
     x_clips = _sample_clips(seq_x, data_stream(cfg.seed, state.t, phase=1), cfg.batch, cfg.k)
-    x_frames, y_frames = _frames(x_clips), _frames(y_clips)
-    nets = SequenceNets(state.g_xy, state.g_yx, state.r_x, state.r_y)
+    weights = cfg.weights if cfg.sequence_cycle else replace(cfg.weights, lambda_cyc=0.0)
 
     def objective(x_moved, y_moved, x_tilde, y_tilde):
-        batches = SequenceBatches(x_moved, x_tilde, y_moved, y_tilde, x_clips, y_clips)
-        loss = sequence_objective(nets, batches, cfg.weights)
-        if cfg.sequence_cycle and cfg.weights.lambda_cyc > 0:
-            cycle = cycle_loss(state.g_xy, state.g_yx, x_frames, y_frames, x_moved, y_moved)
-            loss = loss + cfg.weights.lambda_cyc * cycle
-        return loss
+        return sequence_objective(
+            state.g_xy, state.g_yx, state.r_x, state.r_y, x_clips, y_clips, x_moved, y_moved, x_tilde, y_tilde, weights
+        )
 
     descend = {"alpha_x": cfg.lr_alpha_x, "alpha_y": cfg.lr_alpha_y, "rho_x": cfg.lr_alpha_x, "rho_y": cfg.lr_alpha_y}
-    return _run_phases(state, cfg, x_frames, y_frames, objective, descend)
+    return _run_phases(state, cfg, clip_frames(x_clips), clip_frames(y_clips), objective, descend)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +497,7 @@ def train(
                 train_iteration(state, ds_x.examples, ds_y.examples, cfg)
             it = state.t
             if it % cfg.eval_every == 0 or it == cfg.iterations:
-                scores = evaluate(state, eval_x, eval_y, cfg, fm)
+                scores, _, _ = evaluate(state, eval_x, eval_y, fm)
                 seconds = time.perf_counter() - start
                 mf.write(
                     f"{it},{_fmt(scores['fd_x'])},{_fmt(scores['fd_y'])},{_fmt(scores['cycle_err'])},"

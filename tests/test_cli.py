@@ -11,6 +11,7 @@ from coopforge.cli import RunConfig, build_parser, main
 from coopforge.domains import descriptor_line, generate, load_ppm, parse_descriptor, save_ppm
 from coopforge.tensor import load_ctns, save_ctns
 from coopforge.evaluation import run_translator
+from coopforge.networks import ImageTranslator, PointTranslator
 from coopforge.trainer import TrainConfig, init_state, load_checkpoint, save_checkpoint
 
 RING_X_LINE = "ring n=64 modes=8 radius=1.6 mode_std=0.15 rotation=0.0 scale=1.0 seed=1"
@@ -355,6 +356,21 @@ def test_translate_frame_directory(dot_run, tmp_path):
     assert load_ppm(out / "frame_0.ppm").data.shape == (1, 16, 16)
 
 
+def test_translate_mixed_frame_shapes_names_the_file(dot_run, tmp_path, capsys):
+    src = tmp_path / "frames"
+    src.mkdir()
+    save_ppm(np.zeros((1, 16, 16), dtype=np.float32), src / "frame_0.ppm")
+    save_ppm(np.zeros((1, 8, 8), dtype=np.float32), src / "frame_1.ppm")
+    rc = main(
+        ["translate", "--checkpoint", str(dot_run["ckpt"]), "--input", str(src),
+         "--direction", "x2y", "--out", str(tmp_path / "o")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "frame_1.ppm has shape (1, 8, 8)" in err
+    assert "frame_0.ppm has (1, 16, 16)" in err
+
+
 def test_translate_empty_directory_fails(ring_run, tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -383,6 +399,18 @@ def test_eval_reproduces_final_metrics_row(ring_run, capsys):
     # ring target: coverage columns populated, pairing column not
     assert np.isfinite(got["mode_min"]) and np.isfinite(got["mode_uncaptured"])
     assert np.isnan(got["psnr"])
+
+
+@pytest.mark.parametrize("run, translator", [("ring_run", PointTranslator), ("dot_run", ImageTranslator)])
+def test_eval_translates_once_per_direction(run, translator, request, monkeypatch, tmp_path):
+    # G_xy(eval_x), G_yx(eval_y) and one forward per cycle leg; mode coverage
+    # (ring) and PSNR (motion-paired dots) reuse G_xy(eval_x)
+    ckpt = request.getfixturevalue(run)["ckpt"]
+    calls = []
+    forward = translator.forward
+    monkeypatch.setattr(translator, "forward", lambda self, x: calls.append(self.name) or forward(self, x))
+    assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 4, calls
 
 
 def test_eval_identity_checkpoint_has_zero_cycle(tmp_path):

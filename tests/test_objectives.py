@@ -14,8 +14,7 @@ from coopforge.networks import (
 )
 from coopforge.objectives import (
     LossWeights,
-    SequenceBatches,
-    SequenceNets,
+    clip_frames,
     combine_sequence_losses,
     cycle_loss,
     ebm_grad,
@@ -230,8 +229,7 @@ def _random_clips(rng_, n, k, shape=(1, 8, 8)):
 
 def _translate_clips(g, clips):
     """G of every frame of (n, k+1, C, H, W) clips, in clip order."""
-    clips = np.asarray(clips)
-    return g.forward(Tensor(np.ascontiguousarray(clips.reshape((-1,) + clips.shape[2:]))))
+    return g.forward(Tensor(clip_frames(clips)))
 
 
 class TestTemporalLoss:
@@ -327,72 +325,78 @@ class TestSequenceObjective:
         total = combine_sequence_losses(zero, zero, zero, zero, zero, zero, LossWeights())
         assert total.item() == 0.0
 
-    def test_matches_component_recomputation(self):
+    @staticmethod
+    def _miniature():
+        """Perturbed translators and predictors on 8x8 frames, two 3-frame
+        clips per domain, their recorded translations and random targets."""
         from coopforge.networks import ImageTranslator
 
         shape = (1, 8, 8)
-        nets = SequenceNets(
-            g_xy=ImageTranslator(in_shape=shape, base=2, blocks=1, seed=44, name="gxy"),
-            g_yx=ImageTranslator(in_shape=shape, base=2, blocks=1, seed=45, name="gyx"),
-            r_x=TemporalPredictor(in_shape=shape, k=2, base=2, seed=46, name="rx"),
-            r_y=TemporalPredictor(in_shape=shape, k=2, base=2, seed=47, name="ry"),
-        )
-        for net, s in ((nets.g_xy, 48), (nets.g_yx, 49), (nets.r_x, 50), (nets.r_y, 51)):
+        g_xy = ImageTranslator(in_shape=shape, base=2, blocks=1, seed=44, name="gxy")
+        g_yx = ImageTranslator(in_shape=shape, base=2, blocks=1, seed=45, name="gyx")
+        r_x = TemporalPredictor(in_shape=shape, k=2, base=2, seed=46, name="rx")
+        r_y = TemporalPredictor(in_shape=shape, k=2, base=2, seed=47, name="ry")
+        for net, s in ((g_xy, 48), (g_yx, 49), (r_x, 50), (r_y, 51)):
             for p in net.params.values():
                 p.data += np.random.default_rng(s).normal(size=p.data.shape).astype(np.float32) * 0.05
         rng_ = np.random.default_rng(52)
         x_clips, y_clips = _random_clips(rng_, 2, 2), _random_clips(rng_, 2, 2)
         frames = lambda n: rng_.normal(size=(n,) + shape).astype(np.float32)
-        batches = SequenceBatches(
-            x_moved=_translate_clips(nets.g_yx, y_clips),
-            x_targets=frames(6),
-            y_moved=_translate_clips(nets.g_xy, x_clips),
-            y_targets=frames(6),
-            x_clips=x_clips,
-            y_clips=y_clips,
-        )
-        w = LossWeights(lambda1=9.0, lambda2=9.0)
-        total = sequence_objective(nets, batches, w).item()
-        expected = combine_sequence_losses(
-            teach_loss(batches.x_moved, batches.x_targets),
-            teach_loss(batches.y_moved, batches.y_targets),
-            temporal_loss(nets.r_x, batches.x_clips),
-            temporal_loss(nets.r_y, batches.y_clips),
-            spatiotemporal_loss(batches.y_moved, nets.r_y, nets.g_yx, batches.x_clips),
-            spatiotemporal_loss(batches.x_moved, nets.r_x, nets.g_xy, batches.y_clips),
+        x_moved, x_targets = _translate_clips(g_yx, y_clips), frames(6)
+        y_moved, y_targets = _translate_clips(g_xy, x_clips), frames(6)
+        return g_xy, g_yx, r_x, r_y, x_clips, y_clips, x_moved, y_moved, x_targets, y_targets
+
+    @staticmethod
+    def _components(g_xy, g_yx, r_x, r_y, x_clips, y_clips, x_moved, y_moved, x_targets, y_targets, w):
+        return combine_sequence_losses(
+            teach_loss(x_moved, x_targets),
+            teach_loss(y_moved, y_targets),
+            temporal_loss(r_x, x_clips),
+            temporal_loss(r_y, y_clips),
+            spatiotemporal_loss(y_moved, r_y, g_yx, x_clips),
+            spatiotemporal_loss(x_moved, r_x, g_xy, y_clips),
             w,
-        ).item()
-        assert total == pytest.approx(expected, rel=1e-6)
+        )
+
+    def test_matches_component_recomputation(self):
+        # with no cycle weight: exactly the six weighted components
+        mini = self._miniature()
+        w = LossWeights(lambda_cyc=0.0, lambda1=9.0, lambda2=9.0)
+        assert sequence_objective(*mini, w).item() == self._components(*mini, w).item()
+
+    def test_adds_weighted_cycle_term_last(self):
+        # a positive cycle weight adds lambda_cyc * cycle over the clips' frames
+        # after the six components: same ops, same order, same value
+        mini = self._miniature()
+        g_xy, g_yx, _, _, x_clips, y_clips, x_moved, y_moved, _, _ = mini
+        w = LossWeights(lambda_cyc=9.0, lambda1=9.0, lambda2=9.0)
+        frames = lambda clips: clips.reshape((-1,) + clips.shape[2:])
+        cycle = cycle_loss(g_xy, g_yx, frames(x_clips), frames(y_clips), x_moved, y_moved)
+        assert sequence_objective(*mini, w).item() == (self._components(*mini, w) + 9.0 * cycle).item()
 
     def test_gradients_reach_all_four_nets(self):
         shape = (1, 4, 4)
         from coopforge.networks import ImageTranslator
 
-        nets = SequenceNets(
-            g_xy=ImageTranslator(in_shape=shape, base=2, blocks=1, seed=53, name="gxy"),
-            g_yx=ImageTranslator(in_shape=shape, base=2, blocks=1, seed=54, name="gyx"),
-            r_x=TemporalPredictor(in_shape=shape, k=2, base=2, seed=55, name="rx"),
-            r_y=TemporalPredictor(in_shape=shape, k=2, base=2, seed=56, name="ry"),
-        )
+        g_xy = ImageTranslator(in_shape=shape, base=2, blocks=1, seed=53, name="gxy")
+        g_yx = ImageTranslator(in_shape=shape, base=2, blocks=1, seed=54, name="gyx")
+        r_x = TemporalPredictor(in_shape=shape, k=2, base=2, seed=55, name="rx")
+        r_y = TemporalPredictor(in_shape=shape, k=2, base=2, seed=56, name="ry")
         rng_ = np.random.default_rng(57)
-        for net in (nets.g_xy, nets.g_yx, nets.r_x, nets.r_y):
+        for net in (g_xy, g_yx, r_x, r_y):
             for p in net.params.values():
                 p.data += rng_.normal(size=p.data.shape).astype(np.float32) * 0.05
         x_clips = rng_.normal(size=(1, 3) + shape).astype(np.float32)
         y_clips = rng_.normal(size=(1, 3) + shape).astype(np.float32)
         frames = lambda n: rng_.normal(size=(n,) + shape).astype(np.float32)
         with T.Graph() as g:
-            batches = SequenceBatches(
-                x_moved=_translate_clips(nets.g_yx, y_clips),
-                x_targets=frames(3),
-                y_moved=_translate_clips(nets.g_xy, x_clips),
-                y_targets=frames(3),
-                x_clips=x_clips,
-                y_clips=y_clips,
+            x_moved, x_targets = _translate_clips(g_yx, y_clips), frames(3)
+            y_moved, y_targets = _translate_clips(g_xy, x_clips), frames(3)
+            total = sequence_objective(
+                g_xy, g_yx, r_x, r_y, x_clips, y_clips, x_moved, y_moved, x_targets, y_targets, LossWeights()
             )
-            total = sequence_objective(nets, batches, LossWeights())
         T.backward(g, total)
-        for net in (nets.g_xy, nets.g_yx, nets.r_x, nets.r_y):
+        for net in (g_xy, g_yx, r_x, r_y):
             got = sum(float(np.abs(p.grad).sum()) for p in net.params.values())
             assert got > 0, net.name
 
@@ -415,15 +419,18 @@ def _spatiotemporal_frame_by_frame(g_fwd, r, g_back, clips) -> float:
     return np.abs(clips[:, r.k] - _eval(g_back, pred)).sum() / len(clips)
 
 
-def _sequence_objective_separate_forwards(nets, x_clips, y_clips, x_targets, y_targets, w) -> float:
-    """The sequence objective with separate forwards for teaching and for each past frame."""
-    frames = lambda clips: clips.reshape((-1,) + clips.shape[2:])
-    teach = ((x_targets - _eval(nets.g_yx, frames(y_clips))) ** 2).sum() / len(x_targets)
-    teach += ((y_targets - _eval(nets.g_xy, frames(x_clips))) ** 2).sum() / len(y_targets)
-    tp = temporal_loss(nets.r_x, x_clips).item() + temporal_loss(nets.r_y, y_clips).item()
-    st = _spatiotemporal_frame_by_frame(nets.g_xy, nets.r_y, nets.g_yx, x_clips)
-    st += _spatiotemporal_frame_by_frame(nets.g_yx, nets.r_x, nets.g_xy, y_clips)
-    return teach + w.lambda1 * tp + w.lambda2 * st
+def _sequence_objective_separate_forwards(g_xy, g_yx, r_x, r_y, x_clips, y_clips, x_targets, y_targets, w) -> float:
+    """The sequence objective with separate forwards for teaching, for each
+    past frame and for each leg of the cycle term."""
+    x, y = x_clips.reshape((-1,) + x_clips.shape[2:]), y_clips.reshape((-1,) + y_clips.shape[2:])
+    teach = ((x_targets - _eval(g_yx, y)) ** 2).sum() / len(x_targets)
+    teach += ((y_targets - _eval(g_xy, x)) ** 2).sum() / len(y_targets)
+    tp = temporal_loss(r_x, x_clips).item() + temporal_loss(r_y, y_clips).item()
+    st = _spatiotemporal_frame_by_frame(g_xy, r_y, g_yx, x_clips)
+    st += _spatiotemporal_frame_by_frame(g_yx, r_x, g_xy, y_clips)
+    cycle = np.abs(x - _eval(g_yx, _eval(g_xy, x))).sum() / len(x)
+    cycle += np.abs(y - _eval(g_xy, _eval(g_yx, y))).sum() / len(y)
+    return teach + w.lambda1 * tp + w.lambda2 * st + w.lambda_cyc * cycle
 
 
 class TestSharedTranslations:
@@ -452,20 +459,16 @@ class TestSharedTranslations:
         from coopforge.networks import ImageTranslator
 
         shape, f64 = (1, 4, 4), dict(dtype=np.float64)
-        nets = SequenceNets(
-            g_xy=self._perturb(ImageTranslator(in_shape=shape, base=2, blocks=1, seed=65, name="gxy", **f64), 66),
-            g_yx=self._perturb(ImageTranslator(in_shape=shape, base=2, blocks=1, seed=67, name="gyx", **f64), 68),
-            r_x=self._perturb(TemporalPredictor(in_shape=shape, k=2, base=2, seed=69, name="rx", **f64), 70),
-            r_y=self._perturb(TemporalPredictor(in_shape=shape, k=2, base=2, seed=71, name="ry", **f64), 72),
-        )
+        g_xy = self._perturb(ImageTranslator(in_shape=shape, base=2, blocks=1, seed=65, name="gxy", **f64), 66)
+        g_yx = self._perturb(ImageTranslator(in_shape=shape, base=2, blocks=1, seed=67, name="gyx", **f64), 68)
+        r_x = self._perturb(TemporalPredictor(in_shape=shape, k=2, base=2, seed=69, name="rx", **f64), 70)
+        r_y = self._perturb(TemporalPredictor(in_shape=shape, k=2, base=2, seed=71, name="ry", **f64), 72)
         rng_ = np.random.default_rng(73)
         x_clips, y_clips = rng_.normal(size=(2, 3) + shape), rng_.normal(size=(2, 3) + shape)
         x_t, y_t = rng_.normal(size=(6,) + shape), rng_.normal(size=(6,) + shape)
         w = LossWeights(lambda1=9.0, lambda2=9.0)
         with T.Graph():
-            batches = SequenceBatches(
-                _translate_clips(nets.g_yx, y_clips), x_t, _translate_clips(nets.g_xy, x_clips), y_t, x_clips, y_clips
-            )
-            got = sequence_objective(nets, batches, w)
-        want = _sequence_objective_separate_forwards(nets, x_clips, y_clips, x_t, y_t, w)
+            x_moved, y_moved = _translate_clips(g_yx, y_clips), _translate_clips(g_xy, x_clips)
+            got = sequence_objective(g_xy, g_yx, r_x, r_y, x_clips, y_clips, x_moved, y_moved, x_t, y_t, w)
+        want = _sequence_objective_separate_forwards(g_xy, g_yx, r_x, r_y, x_clips, y_clips, x_t, y_t, w)
         assert got.item() == pytest.approx(want, rel=1e-12)

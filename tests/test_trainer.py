@@ -10,14 +10,7 @@ from coopforge import trainer
 from coopforge.domains import DomainDescriptor, generate
 from coopforge.evaluation import refinement_scores, run_translator, translate_sequence
 from coopforge.langevin import LangevinConfig, revise
-from coopforge.objectives import (
-    LossWeights,
-    SequenceBatches,
-    SequenceNets,
-    sequence_objective,
-    spatiotemporal_loss,
-    temporal_loss,
-)
+from coopforge.objectives import LossWeights, clip_frames, sequence_objective, spatiotemporal_loss, temporal_loss
 from coopforge.networks import ImageTranslator, PointTranslator
 from coopforge.rng import data_stream
 from coopforge.tensor import Graph, ShapeError, Tensor, backward
@@ -297,42 +290,56 @@ def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step,
 # ---------------------------------------------------------------- sequence mode
 
 
-@pytest.mark.parametrize("lambda1, lambda2", [(0, 0), (9, 9)])
-def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2):
+@pytest.mark.parametrize(
+    "lambda1, lambda2, sequence_cycle",
+    [(0, 0, False), (9, 9, False), (0, 0, True), (9, 9, True)],
+    ids=["0-0", "9-9", "0-0-cycle", "9-9-cycle"],
+)
+def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2, sequence_cycle):
     # the joint update equals one Adam step on sequence_objective over the
     # replayed batches, with both translations recorded before revision on
-    # the tape the objective extends; at zero lambdas the predictors get
-    # zero gradient
-    cfg = dot_cfg(weights=LossWeights(lambda_cyc=9, lambda1=lambda1, lambda2=lambda2))
+    # the tape the objective extends; lambda_cyc applies only with
+    # sequence_cycle on, as in the dot recipe; at zero lambdas the
+    # predictors get zero gradient
+    weights = LossWeights(lambda_cyc=9, lambda1=lambda1, lambda2=lambda2)
+    cfg = dot_cfg(weights=weights, sequence_cycle=sequence_cycle)
     dsx, dsy = generate(DOT_X), generate(DOT_Y)
     state = init_state(cfg, dsx, dsy)
     twin = init_state(cfg, dsx, dsy)
+    # one step first: the translators start as the identity, where the cycle
+    # residual and so its gradient are exactly zero
+    for s in (state, twin):
+        train_sequence_iteration(s, dsx.examples, dsy.examples, cfg)
     r_before = {k: p.data.copy() for k, p in state.r_x.params.items()}
 
     train_sequence_iteration(state, dsx.examples, dsy.examples, cfg)
 
     # reference: replay the same streams and descend the objective directly
-    from coopforge.trainer import _apply_adam, _frames, _sample_clips
+    from coopforge.trainer import _apply_adam, _sample_clips
 
     t = twin.t
     y_clips = _sample_clips(dsy.examples, data_stream(cfg.seed, t, phase=0), cfg.batch, cfg.k)
     x_clips = _sample_clips(dsx.examples, data_stream(cfg.seed, t, phase=1), cfg.batch, cfg.k)
-    x_frames, y_frames = _frames(x_clips), _frames(y_clips)
+    x_frames, y_frames = clip_frames(x_clips), clip_frames(y_clips)
     per_dir = cfg.batch * (cfg.k + 1)
     graph = Graph()
     with graph:
         x_moved = twin.g_yx.forward(Tensor(y_frames))
         y_moved = twin.g_xy.forward(Tensor(x_frames))
-    x_tilde = revise(x_moved.data, twin.ebm_x, cfg.langevin, chain_offset=0)
-    y_tilde = revise(y_moved.data, twin.ebm_y, cfg.langevin, chain_offset=per_dir)
-    nets = SequenceNets(twin.g_xy, twin.g_yx, twin.r_x, twin.r_y)
+    x_tilde = revise(x_moved.data, twin.ebm_x, cfg.langevin, chain_offset=2 * t * per_dir)
+    y_tilde = revise(y_moved.data, twin.ebm_y, cfg.langevin, chain_offset=(2 * t + 1) * per_dir)
+    replayed = weights if sequence_cycle else LossWeights(lambda_cyc=0, lambda1=lambda1, lambda2=lambda2)
     with graph:
         loss = sequence_objective(
-            nets, SequenceBatches(x_moved, x_tilde, y_moved, y_tilde, x_clips, y_clips), cfg.weights
+            twin.g_xy, twin.g_yx, twin.r_x, twin.r_y, x_clips, y_clips, x_moved, y_moved, x_tilde, y_tilde, replayed
         )
-    backward(graph, loss)
     groups = twin.groups()
-    for group, rate in (("alpha_x", cfg.lr_alpha_x), ("alpha_y", cfg.lr_alpha_y), ("rho_x", cfg.lr_alpha_x), ("rho_y", cfg.lr_alpha_y)):
+    rates = (("alpha_x", cfg.lr_alpha_x), ("alpha_y", cfg.lr_alpha_y), ("rho_x", cfg.lr_alpha_x), ("rho_y", cfg.lr_alpha_y))
+    for group, _ in rates:
+        for p in groups[group].values():
+            p.zero_grad()  # the first step left its gradients behind
+    backward(graph, loss)
+    for group, rate in rates:
         _apply_adam(twin, group, {k: p.grad.copy() for k, p in groups[group].items()}, rate, "alpha")
 
     for name in ("g_xy", "g_yx", "r_x", "r_y"):
