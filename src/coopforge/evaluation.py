@@ -116,15 +116,12 @@ def rasterize_points(points: np.ndarray, side: int = 64, extent: float = 3.0) ->
 
 def write_grid(state, eval_x: np.ndarray, cfg, path: Path, kind: str) -> None:
     """Input | translated | revised triptych, rows of samples, display-clamped."""
-    lng = eval_langevin(cfg)
-    if kind == "points":
-        moved = run_translator(state.g_xy, eval_x)
-        revised = revise(moved, state.ebm_y, lng)
-        panels = [rasterize_points(p) for p in (eval_x, moved, revised)]
-        save_ppm(np.concatenate(panels, axis=1), path)
-        return
-    frames = eval_x[:6] if kind == "images" else eval_x[:6, 0]
+    frames = eval_x if kind == "points" else eval_x[:6] if kind == "images" else eval_x[:6, 0]
     moved = run_translator(state.g_xy, frames)
-    revised = revise(moved, state.ebm_y, lng)
-    rows = [np.concatenate([a, b, c], axis=2) for a, b, c in zip(frames, moved, revised)]
-    save_ppm(np.clip(np.concatenate(rows, axis=1), 0.0, 1.0), path)
+    revised = revise(moved, state.ebm_y, eval_langevin(cfg))
+    if kind == "points":
+        grid = np.concatenate([rasterize_points(p) for p in (frames, moved, revised)], axis=1)
+    else:
+        rows = [np.concatenate(trio, axis=2) for trio in zip(frames, moved, revised)]
+        grid = np.clip(np.concatenate(rows, axis=1), 0.0, 1.0)
+    save_ppm(grid, path)

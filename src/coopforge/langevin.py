@@ -35,8 +35,8 @@ class LangevinConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
         if not 0.0 <= self.noise_scale <= 1.0:
             raise ValueError(f"noise_scale must lie in [0, 1], got {self.noise_scale}")
 

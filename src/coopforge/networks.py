@@ -71,11 +71,10 @@ class Net:
         try:
             with T.Graph() as g:
                 total = self.forward(leaf).sum()
-            T.backward(g, total)
+            return T.backward(g, total, {"x": leaf})["x"]
         finally:
             for p in frozen:
                 p.requires_grad = True
-        return leaf.grad
 
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.params.items()}

@@ -49,8 +49,9 @@ class LossWeights:
 
     def __post_init__(self):
         for field in ("lambda_cyc", "lambda1", "lambda2"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be non-negative, got {getattr(self, field)}")
+            value = getattr(self, field)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{field} must be finite and non-negative, got {value}")
 
 
 def _constant(batch) -> Tensor:
@@ -76,13 +77,9 @@ def ebm_grad(model: EnergyModel, data_batch, synth_batch) -> dict[str, np.ndarra
     synth = _constant(synth_batch)
     if data.shape[0] == 0 or synth.shape[0] == 0:
         raise ValueError("ebm_grad: batches must be non-empty")
-    params = model.params
-    for p in params.values():
-        p.zero_grad()
     with Graph() as g:
         surrogate = model.score(data).mean() - model.score(synth).mean()
-    backward(g, surrogate)
-    return {k: p.grad.copy() for k, p in params.items()}
+    return backward(g, surrogate, model.params)
 
 
 def teach_loss(moved, targets) -> Tensor:

@@ -47,14 +47,14 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 
 class Tensor:
-    """A dense multi-dimensional float array, optionally carrying a gradient.
+    """A dense multi-dimensional float array, optionally recorded for gradients.
 
-    ``data`` is a row-major numpy array (float32 or float64). ``grad`` is
-    allocated as zeros for leaf tensors created with ``requires_grad=True``
-    and accumulates across backward passes until ``zero_grad``.
+    ``data`` is a row-major numpy array (float32 or float64). Ops on a tensor
+    with ``requires_grad`` record onto the active tape; ``backward`` returns
+    the gradients of the leaves it is asked for.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -64,7 +64,6 @@ class Tensor:
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
 
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
 
     @property
     def shape(self):
@@ -87,14 +86,10 @@ class Tensor:
             raise ShapeError(f"item: tensor of shape {self.shape} is not a scalar")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = self.data
         out.requires_grad = False
-        out.grad = None
         return out
 
     def copy(self) -> "Tensor":
@@ -102,15 +97,6 @@ class Tensor:
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
-    def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -217,31 +203,34 @@ def _record(op: str, inputs: tuple, out: Tensor, bwd) -> Tensor:
     return out
 
 
-def backward(graph: Graph, root: Tensor) -> None:
-    """Populate d(root)/d(leaf) for every requires_grad leaf under root.
+def backward(graph: Graph, root: Tensor, wrt: dict) -> dict[object, np.ndarray]:
+    """d(root)/d(leaf) for every leaf in ``wrt``, under the same keys.
 
-    Visits each recorded node exactly once, in reverse tape order. Repeated
-    calls accumulate into leaf ``grad`` buffers.
+    Visits each recorded node exactly once, in reverse tape order, and sums
+    a leaf's contributions in that order, each cast to the leaf's dtype. A
+    leaf the root does not reach, or one without ``requires_grad``, gets zeros.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
+    leaves = {id(t): np.zeros_like(t.data) for t in wrt.values()}
+    out = {k: leaves[id(t)] for k, t in wrt.items()}
     produced = {id(n.out) for n in graph.nodes}
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
 
     def sink(t: Tensor, g: np.ndarray):
-        if id(t) in produced:
-            key = id(t)
+        key = id(t)
+        if key in produced:
             if key in grads:
                 grads[key] = grads[key] + g
             else:
                 grads[key] = g
-        elif t.requires_grad:
-            t.accumulate_grad(g)
+        elif t.requires_grad and key in leaves:
+            acc = leaves[key]
+            acc += g.astype(acc.dtype, copy=False)
 
     if id(root) not in produced:
-        if root.requires_grad:
-            root.accumulate_grad(grads[id(root)])
-        return
+        sink(root, grads.pop(id(root)))
+        return out
     for node in reversed(graph.nodes):
         g = grads.pop(id(node.out), None)
         if g is None:
@@ -249,6 +238,7 @@ def backward(graph: Graph, root: Tensor) -> None:
         for inp, gi in zip(node.inputs, node.bwd(g)):
             if gi is not None:
                 sink(inp, gi)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -643,12 +633,9 @@ def grad_check(params, loss_fn, step: float = 1e-3) -> GradCheckReport:
     """
     if not isinstance(params, dict):
         params = {f"p{i}": p for i, p in enumerate(params)}
-    for p in params.values():
-        p.zero_grad()
     with Graph() as g:
         loss = loss_fn()
-    backward(g, loss)
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
+    analytic = backward(g, loss, params)
 
     per_param = {}
     worst = ("", 0.0)

@@ -84,17 +84,16 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        for name in ("lr_theta_x", "lr_theta_y", "lr_alpha_x", "lr_alpha_y"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("lr_theta_x", "lr_theta_y", "lr_alpha_x", "lr_alpha_y", "reference_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.eval_every < 1 or self.checkpoint_every < 1:
             raise ValueError("eval_every and checkpoint_every must be >= 1")
         if self.eval_samples < 3:
             raise ValueError("eval_samples must be >= 3")
-        if not self.reference_scale > 0:
-            raise ValueError("reference_scale must be positive")
 
 
 @dataclass
@@ -301,17 +300,15 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
         _ebm_update(state, state.ebm_x, "theta_x", x_data, x_tilde, cfg.lr_theta_x)
         _ebm_update(state, state.ebm_y, "theta_y", y_data, y_tilde, cfg.lr_theta_y)
 
-        groups = state.groups()
-        for group in descend:
-            for p in groups[group].values():
-                p.zero_grad()
         with graph:
             loss = objective(x_moved, y_moved, x_tilde, y_tilde)
         if not np.isfinite(loss.data):
             raise TrainPhaseError("alpha", f"non-finite translator loss {loss.data!r}")
-        backward(graph, loss)
+        groups = state.groups()
+        wrt = {(group, k): p for group in descend for k, p in groups[group].items()}
+        grads = backward(graph, loss, wrt)
         for group, rate in descend.items():
-            _apply_adam(state, group, {k: p.grad for k, p in groups[group].items()}, rate, "alpha")
+            _apply_adam(state, group, {k: grads[group, k] for k in groups[group]}, rate, "alpha")
     except TrainPhaseError:
         _rollback(state, snap)
         raise

@@ -208,10 +208,10 @@ def _energy_input_gradient_error() -> float:
     leaf = Tensor(x, requires_grad=True)
     with T.Graph() as g:
         total = model.energy_sum(leaf)
-    T.backward(g, total)
+    tape = T.backward(g, total, {"x": leaf})["x"]
     closed = model.energy_grad(x)
-    scale = np.maximum(np.maximum(np.abs(closed), np.abs(leaf.grad)), 1e-6)
-    return float(np.max(np.abs(closed - leaf.grad) / scale))
+    scale = np.maximum(np.maximum(np.abs(closed), np.abs(tape)), 1e-6)
+    return float(np.max(np.abs(closed - tape) / scale))
 
 
 def test_criterion_1_gradient_fidelity():
@@ -238,6 +238,24 @@ def test_criterion_1_gradient_fidelity():
         f"{len(cases)} operators, 5 composite losses and the energy input gradient, budget 1e-4; {elapsed:.1f}s < 60s",
     )
     assert ok
+
+
+def test_criterion_1_composite_cases_stay_off_kinks(monkeypatch):
+    """Every leaky-ReLU and |.| input of the composite cases sits farther from
+    its corner than the case's finite-difference step: a central difference
+    straddling a kink reads a correct gradient as wrong."""
+    nearest = []
+    for name in ("leaky_relu", "absval"):
+        def spy(a, *args, _op=getattr(T, name), **kwargs):
+            nearest.append(float(np.abs(a.data).min()))
+            return _op(a, *args, **kwargs)
+
+        monkeypatch.setattr(T, name, spy)
+    for name, (_, fn, step) in _composite_loss_cases().items():
+        nearest.clear()
+        fn()
+        assert nearest, name
+        assert min(nearest) > step, f"{name}: an input sits {min(nearest):.1e} from its corner, within step {step:.0e}"
 
 
 # ---------------------------------------------------------------------------

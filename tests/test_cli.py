@@ -101,6 +101,12 @@ def test_overrides_win_and_are_validated():
         RunConfig.parse_text(MINIMAL, overrides={"bogus": "1"})
 
 
+def test_non_finite_weight_rejected():
+    # float() parses "nan"; the weight check must still refuse it
+    with pytest.raises(ValueError, match="lambda_cyc must be finite"):
+        RunConfig.parse_text(MINIMAL + "lambda_cyc = nan\n")
+
+
 def test_bool_values():
     assert RunConfig.parse_text(MINIMAL + "sequence_cycle = on\n").train.sequence_cycle is True
     assert RunConfig.parse_text(MINIMAL + "sequence_cycle = FALSE\n").train.sequence_cycle is False

@@ -54,6 +54,11 @@ class TestBasics:
         with pytest.raises(ValueError, match="noise_scale"):
             LangevinConfig(steps=1, step_size=0.1, noise_scale=1.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_step_size_rejected(self, value):
+        with pytest.raises(ValueError, match="step_size must be finite"):
+            LangevinConfig(steps=1, step_size=value)
+
     def test_energy_grad_matches_closed_form(self, reference_model):
         # E = ||x||^2 / 2 so dE/dx = x.
         x = np.random.default_rng(1).normal(size=(5, 3)).astype(np.float32)

@@ -49,6 +49,13 @@ class TestLossWeights:
         with pytest.raises(ValueError, match="lambda1"):
             LossWeights(lambda1=-0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["lambda_cyc", "lambda1", "lambda2"])
+    def test_non_finite_rejected(self, field, value):
+        # a nan weight fails every `> 0` test and would silently drop its term
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LossWeights(**{field: value})
+
 
 class TestEbmGrad:
     def test_linear_energy_closed_form(self):
@@ -151,8 +158,7 @@ class TestTeachLoss:
         tgt = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
         with T.Graph() as graph:
             loss = teach_loss(g.forward(Tensor(src)), tgt)
-        T.backward(graph, loss)
-        assert not tgt.grad.any()
+        assert not T.backward(graph, loss, {"tgt": tgt})["tgt"].any()
 
     def test_gradient_matches_fd(self):
         g = PointTranslator(dim=2, hidden=5, blocks=1, seed=8, name="g", dtype=np.float64)
@@ -395,9 +401,8 @@ class TestSequenceObjective:
             total = sequence_objective(
                 g_xy, g_yx, r_x, r_y, x_clips, y_clips, x_moved, y_moved, x_targets, y_targets, LossWeights()
             )
-        T.backward(g, total)
         for net in (g_xy, g_yx, r_x, r_y):
-            got = sum(float(np.abs(p.grad).sum()) for p in net.params.values())
+            got = sum(float(np.abs(grad).sum()) for grad in T.backward(g, total, net.params).values())
             assert got > 0, net.name
 
 

@@ -99,10 +99,10 @@ class TestElementwiseGrads:
         with Graph() as g:
             out = T.narrow(a, 1, 0, 2)
             total = (out * Tensor(w)).sum()
-        backward(g, total)
+        grad = backward(g, total, {"a": a})["a"]
         np.testing.assert_array_equal(out.data, a.data[:, :2])
-        np.testing.assert_array_equal(a.grad[:, :2], w)
-        assert not a.grad[:, 2].any()
+        np.testing.assert_array_equal(grad[:, :2], w)
+        assert not grad[:, 2].any()
         w_last = rng.uniform(0.5, 1.5, size=(2, 3, 1, 2, 1))
         check_op(lambda: (T.narrow(a, -1, 1, 1) * Tensor(w_last)).sum(), {"a": a})
 
@@ -344,6 +344,19 @@ class TestUnreadGradients:
 
 
 class TestTape:
+    def test_tensor_keeps_no_gradient_buffer(self):
+        assert Tensor.__slots__ == ("data", "requires_grad")
+
+    def test_unreached_and_frozen_leaves_get_zeros(self):
+        a, b = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+        frozen = Tensor(np.array([5.0, 6.0]))
+        with Graph() as g:
+            out = (a * frozen).sum()
+        grads = backward(g, out, {"a": a, "b": b, "frozen": frozen})
+        np.testing.assert_array_equal(grads["a"], frozen.data)
+        np.testing.assert_array_equal(grads["b"], np.zeros(2))
+        np.testing.assert_array_equal(grads["frozen"], np.zeros(2))
+
     def test_no_recording_outside_graph(self):
         a = leaf([1.0, 2.0])
         out = (a * 2.0).sum()
@@ -354,38 +367,35 @@ class TestTape:
         a = leaf(3.0)
         with Graph() as g:
             out = a * a + a
-        backward(g, out)
-        assert a.grad == pytest.approx(7.0)
+        assert backward(g, out, {"a": a})["a"] == pytest.approx(7.0)
 
-    def test_repeated_backward_accumulates(self):
+    def test_repeated_backward_returns_fresh_gradients(self):
+        # nothing carries over between passes: each returns 2a
         a = leaf([1.0, 2.0])
         for _ in range(2):
             with Graph() as g:
                 out = a.square().sum()
-            backward(g, out)
-        np.testing.assert_allclose(a.grad, 2 * 2 * a.data)
+            np.testing.assert_allclose(backward(g, out, {"a": a})["a"], 2 * a.data)
 
     def test_detach_blocks_gradient(self):
         a = leaf(2.0)
         with Graph() as g:
             out = a * a.detach()
-        backward(g, out)
-        assert a.grad == pytest.approx(2.0)  # only the live factor
+        assert backward(g, out, {"a": a})["a"] == pytest.approx(2.0)  # only the live factor
 
     def test_backward_requires_scalar(self):
         a = leaf([1.0, 2.0])
         with Graph() as g:
             out = a * 2.0
         with pytest.raises(ShapeError, match="scalar"):
-            backward(g, out)
+            backward(g, out, {"a": a})
 
     def test_diamond_graph(self):
         # f = (a+a) * (a*a):  f = 2a^3, f' = 6a^2.
         a = leaf(2.0)
         with Graph() as g:
             out = (a + a) * (a * a)
-        backward(g, out)
-        assert a.grad == pytest.approx(24.0)
+        assert backward(g, out, {"a": a})["a"] == pytest.approx(24.0)
 
     def test_nested_graphs_record_innermost(self):
         a = leaf(1.0)
@@ -447,12 +457,9 @@ class TestApplyRegistry:
         assert set(cases) == set(T.OPS)
         params = {"a": a, "b": b, "x4": x4, "w4": w4, "wt4": wt4, "gain": gain, "bias": bias}
         for name, build in cases.items():
-            for p in params.values():
-                p.zero_grad()
             with Graph() as g:
                 out = build()
-            backward(g, out)
-            got = sum(float(np.abs(p.grad).sum()) for p in params.values())
+            got = sum(float(np.abs(grad).sum()) for grad in backward(g, out, params).values())
             assert np.isfinite(got), name
 
 

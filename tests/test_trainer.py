@@ -151,6 +151,14 @@ def test_config_validation():
         ring_cfg(reference_scale=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["lr_theta_x", "lr_theta_y", "lr_alpha_x", "lr_alpha_y", "reference_scale"])
+def test_config_rejects_non_finite_rates(name, value):
+    # reference_scale = inf would pass a `> 0` test and zero E(x)'s reference term
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ring_cfg(**{name: value})
+
+
 def test_init_state_points():
     state = init_state(ring_cfg(), generate(RING_X), generate(RING_Y))
     assert state.r_x is None and state.r_y is None
@@ -335,12 +343,9 @@ def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2, 
         )
     groups = twin.groups()
     rates = (("alpha_x", cfg.lr_alpha_x), ("alpha_y", cfg.lr_alpha_y), ("rho_x", cfg.lr_alpha_x), ("rho_y", cfg.lr_alpha_y))
-    for group, _ in rates:
-        for p in groups[group].values():
-            p.zero_grad()  # the first step left its gradients behind
-    backward(graph, loss)
+    grads = backward(graph, loss, {(group, k): p for group, _ in rates for k, p in groups[group].items()})
     for group, rate in rates:
-        _apply_adam(twin, group, {k: p.grad.copy() for k, p in groups[group].items()}, rate, "alpha")
+        _apply_adam(twin, group, {k: grads[group, k] for k in groups[group]}, rate, "alpha")
 
     for name in ("g_xy", "g_yx", "r_x", "r_y"):
         for k, p in getattr(state, name).params.items():
