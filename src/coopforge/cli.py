@@ -33,7 +33,7 @@ from .langevin import LangevinConfig, revise
 from .metrics import default_feature_map, mode_coverage, psnr
 from .rng import PURPOSE_DATA, stream
 from .tensor import ShapeError, load_ctns, save_ctns
-from .trainer import TrainConfig, load_checkpoint, train
+from .trainer import TrainConfig, config_from_dict, load_checkpoint, train
 
 __all__ = ["RunConfig", "build_parser", "main"]
 
@@ -86,19 +86,23 @@ class RunConfig:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             raw[key] = value
-        values = {}
+        tree: dict = {}
         for key, (path, convert, default) in _CONFIG_KEYS.items():
             if key in raw:
                 try:
-                    values[path] = convert(raw[key])
+                    value = convert(raw[key])
                 except ValueError as err:
                     raise ValueError(f"config key {key}: {err}") from None
             elif default is MISSING:
                 raise ValueError(f"config key {key!r} is required")
             else:
-                values[path] = default
-        values[("train", "langevin", "seed")] = values[("train", "seed")]  # the run seed keys the noise too
-        return _build(cls, values)
+                value = default
+            node = tree
+            for name in path[:-1]:
+                node = node.setdefault(name, {})
+            node[path[-1]] = value
+        tree["train"]["langevin"]["seed"] = tree["train"]["seed"]  # the run seed keys the noise too
+        return config_from_dict(cls, tree)
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -127,16 +131,6 @@ def _leaves(cls, path=(), defaults=None):
             yield from _leaves(hints[f.name], path + (f.name,), None if default is MISSING else default)
         else:
             yield _KEY_OF.get(path + (f.name,), f.name), path + (f.name,), hints[f.name], default
-
-
-def _build(cls, values: dict, path=()):
-    """Instantiate ``cls`` from path -> value, nested dataclasses included."""
-    hints = get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        sub = path + (f.name,)
-        kwargs[f.name] = _build(hints[f.name], values, sub) if is_dataclass(hints[f.name]) else values[sub]
-    return cls(**kwargs)
 
 
 # key -> (path under RunConfig, converter, default or MISSING)

@@ -9,7 +9,9 @@ so nothing is paired by construction.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -105,18 +107,7 @@ def gen_ring(
         raise ValueError(f"mode_std must be > 0, got {mode_std}")
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    desc = DomainDescriptor(
-        "ring",
-        {
-            "n": n,
-            "modes": modes,
-            "radius": float(radius),
-            "mode_std": float(mode_std),
-            "rotation": float(rotation),
-            "scale": float(scale),
-        },
-        seed,
-    )
+    desc = _describe("ring", locals())
     g = rng.dataset_stream(seed)
     centers = _ring_centers(modes, radius)
     which = g.integers(0, modes, size=n)
@@ -182,9 +173,7 @@ def gen_shapes(
         raise ValueError(f"shape_kind must be square or disk, got {shape_kind!r}")
     if palette not in _PALETTES:
         raise ValueError(f"palette must be one of {sorted(_PALETTES)}, got {palette!r}")
-    desc = DomainDescriptor(
-        "shapes", {"n": n, "side": side, "shape_kind": shape_kind, "palette": palette}, seed
-    )
+    desc = _describe("shapes", locals())
     g = rng.dataset_stream(seed)
     (fg_lo, fg_hi), (bg_lo, bg_hi) = _PALETTES[palette]
     lo, hi = side // 4, side // 2
@@ -267,17 +256,7 @@ def gen_moving_dot(
         raise ValueError(f"appearance must be one of {sorted(_SPRITES)}, got {appearance!r}")
     if motion_style not in ("bounce", "static"):
         raise ValueError(f"motion_style must be bounce or static, got {motion_style!r}")
-    desc = DomainDescriptor(
-        "moving_dot",
-        {
-            "n_seqs": n_seqs,
-            "length": length,
-            "side": side,
-            "appearance": appearance,
-            "motion_style": motion_style,
-        },
-        seed,
-    )
+    desc = _describe("moving_dot", locals())
     traj = dot_trajectories(desc)
     lo_band, hi_band = _SPRITES[appearance]
     frames = np.zeros((n_seqs, length, 1, side, side), dtype=np.float32)
@@ -342,20 +321,30 @@ def centroids(frames: np.ndarray) -> np.ndarray:
 # Descriptor text form and regeneration
 # ---------------------------------------------------------------------------
 
-_GENERATORS = {
-    "ring": (gen_ring, {"n": int, "modes": int, "radius": float, "mode_std": float, "rotation": float, "scale": float}),
-    "shapes": (gen_shapes, {"n": int, "side": int, "shape_kind": str, "palette": str}),
-    "moving_dot": (gen_moving_dot, {"n_seqs": int, "length": int, "side": int, "appearance": str, "motion_style": str}),
-}
+_GENERATORS = {"ring": gen_ring, "shapes": gen_shapes, "moving_dot": gen_moving_dot}
+
+
+def _schema(fn) -> dict[str, type]:
+    """Descriptor keys of a generator: its parameters but ``seed``, in order, typed by annotation."""
+    hints = get_type_hints(fn)
+    return {key: hints[key] for key in inspect.signature(fn).parameters if key != "seed"}
+
+
+# generator name -> {key: type}, read once from the signatures
+_SCHEMAS = {name: _schema(fn) for name, fn in _GENERATORS.items()}
+
+
+def _describe(name: str, args: dict) -> DomainDescriptor:
+    """The descriptor of a generator call, from its arguments (its ``locals()``)."""
+    return DomainDescriptor(name, {key: typ(args[key]) for key, typ in _SCHEMAS[name].items()}, args["seed"])
 
 
 def generate(desc: DomainDescriptor) -> DomainDataset:
     """Re-run the descriptor's generator; output is bitwise reproducible."""
-    fn, schema = _GENERATORS[desc.name]
-    unknown = set(desc.params) - set(schema)
+    unknown = set(desc.params) - set(_SCHEMAS[desc.name])
     if unknown:
         raise ValueError(f"{desc.name}: unknown parameters {sorted(unknown)}")
-    return fn(seed=desc.seed, **desc.params)
+    return _GENERATORS[desc.name](seed=desc.seed, **desc.params)
 
 
 def with_count(desc: DomainDescriptor, count: int) -> DomainDescriptor:
@@ -368,10 +357,9 @@ def with_count(desc: DomainDescriptor, count: int) -> DomainDescriptor:
 
 
 def descriptor_line(desc: DomainDescriptor) -> str:
-    """One-line text form: name, schema-ordered key=value pairs, seed."""
-    _, schema = _GENERATORS[desc.name]
+    """One-line text form: name, key=value pairs in signature order, seed."""
     parts = [desc.name]
-    for key in schema:
+    for key in _SCHEMAS[desc.name]:
         if key in desc.params:
             val = desc.params[key]
             parts.append(f"{key}={val!r}" if isinstance(val, str) else f"{key}={val}")
@@ -380,29 +368,31 @@ def descriptor_line(desc: DomainDescriptor) -> str:
 
 
 def parse_descriptor(line: str) -> DomainDescriptor:
-    """Inverse of descriptor_line; round-trips exactly."""
+    """Inverse of descriptor_line; round-trips exactly. Keys may not repeat."""
     tokens = line.split()
     if not tokens:
         raise ValueError("empty descriptor line")
     name = tokens[0]
     if name not in _GENERATORS:
         raise ValueError(f"unknown generator {name!r} in descriptor line")
-    _, schema = _GENERATORS[name]
+    types = {**_SCHEMAS[name], "seed": int}
     params: dict = {}
-    seed = None
     for tok in tokens[1:]:
         if "=" not in tok:
             raise ValueError(f"malformed descriptor token {tok!r}")
         key, val = tok.split("=", 1)
-        if key == "seed":
-            seed = int(val)
-        elif key in schema:
-            typ = schema[key]
-            params[key] = val.strip("'\"") if typ is str else typ(val)
-        else:
+        if key not in types:
             raise ValueError(f"{name}: unknown descriptor key {key!r}")
-    if seed is None:
+        if key in params:
+            raise ValueError(f"{name}: descriptor key {key!r} given twice")
+        typ = types[key]
+        try:
+            params[key] = val.strip("'\"") if typ is str else typ(val)
+        except ValueError:
+            raise ValueError(f"{name}: descriptor key {key!r} expects {typ.__name__}, got {val!r}") from None
+    if "seed" not in params:
         raise ValueError("descriptor line missing seed")
+    seed = params.pop("seed")
     return DomainDescriptor(name, params, seed)
 
 

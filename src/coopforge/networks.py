@@ -391,19 +391,19 @@ class TemporalPredictor(Net):
 # ---------------------------------------------------------------------------
 
 
-def build_scorer(shape: tuple, seed: int, name: str, dtype=np.float32, **kwargs) -> Net:
+def build_scorer(shape: tuple, seed: int, name: str) -> Net:
     """Scorer for samples of ``shape``: (d,) -> point MLP, (C,H,W) -> conv net."""
     if len(shape) == 1:
-        return PointScorer(dim=shape[0], seed=seed, name=name, dtype=dtype, **kwargs)
+        return PointScorer(dim=shape[0], seed=seed, name=name)
     if len(shape) == 3:
-        return ImageScorer(in_shape=shape, seed=seed, name=name, dtype=dtype, **kwargs)
+        return ImageScorer(in_shape=shape, seed=seed, name=name)
     raise T.ShapeError(f"no scorer for sample shape {shape}")
 
 
-def build_translator(shape: tuple, seed: int, name: str, dtype=np.float32, **kwargs) -> Net:
+def build_translator(shape: tuple, seed: int, name: str) -> Net:
     """Translator for samples of ``shape``; identity map at initialization."""
     if len(shape) == 1:
-        return PointTranslator(dim=shape[0], seed=seed, name=name, dtype=dtype, **kwargs)
+        return PointTranslator(dim=shape[0], seed=seed, name=name)
     if len(shape) == 3:
-        return ImageTranslator(in_shape=shape, seed=seed, name=name, dtype=dtype, **kwargs)
+        return ImageTranslator(in_shape=shape, seed=seed, name=name)
     raise T.ShapeError(f"no translator for sample shape {shape}")

@@ -92,12 +92,6 @@ class Tensor:
         out.requires_grad = False
         return out
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
         return add(self, other)

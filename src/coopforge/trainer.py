@@ -18,10 +18,12 @@ to make a resumed run bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from . import tensor as T
 from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate, parse_descriptor, with_count
 from .evaluation import eval_descriptor, eval_frames, evaluate, write_grid
 from .langevin import LangevinConfig, LangevinDiverged, revise
-from .metrics import default_feature_map
+from .metrics import default_feature_map, frechet_distance
 from .networks import EnergyModel, Net, TemporalPredictor, build_scorer, build_translator
 from .objectives import LossWeights, clip_frames, ebm_grad, image_objective, sequence_objective, teach_loss
 from .rng import data_stream
@@ -42,6 +44,7 @@ __all__ = [
     "TrainPhaseError",
     "TrainState",
     "adam_step",
+    "config_from_dict",
     "init_state",
     "load_checkpoint",
     "save_checkpoint",
@@ -406,18 +409,21 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
     return root
 
 
-def _config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    d["langevin"] = LangevinConfig(**d["langevin"])
-    d["weights"] = LossWeights(**d["weights"])
-    return TrainConfig(**d)
+_field_types = functools.cache(get_type_hints)  # resolved once per config class, not per load
+
+
+def config_from_dict(cls, d: dict):
+    """Inverse of ``asdict``: a ``cls`` instance from a nested dict. A field
+    whose type hint is a dataclass is built from its own sub-dict."""
+    hints = _field_types(cls)
+    return cls(**{k: config_from_dict(hints[k], v) if is_dataclass(hints[k]) else v for k, v in d.items()})
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, DomainDescriptor]:
     """Rebuild a TrainState (networks, moments, clock) from ckpt_{t}/."""
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
-    cfg = _config_from_dict(manifest["config"])
+    cfg = config_from_dict(TrainConfig, manifest["config"])
     desc_x = parse_descriptor(manifest["domain_x"])
     desc_y = parse_descriptor(manifest["domain_y"])
     # three examples per domain fix the networks' shapes; the data is not needed
@@ -439,10 +445,6 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, Do
 # ---------------------------------------------------------------------------
 # The full loop
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def train(
@@ -477,6 +479,8 @@ def train(
     eval_y_ds = generate(eval_descriptor(desc_y, cfg))
     eval_x, eval_y = eval_frames(eval_x_ds), eval_frames(eval_y_ds)
     fm = default_feature_map(ds_x.sample_shape)
+    # fails now, not at the first eval row, when a held-out set is too small to score
+    frechet_distance(eval_x, eval_y, fm)
 
     # a resumed run keeps the rows up to its checkpoint and rewrites the rest
     metrics_path = out / "metrics.csv"
@@ -495,12 +499,8 @@ def train(
             it = state.t
             if it % cfg.eval_every == 0 or it == cfg.iterations:
                 scores, _, _ = evaluate(state, eval_x, eval_y, fm)
-                seconds = time.perf_counter() - start
-                mf.write(
-                    f"{it},{_fmt(scores['fd_x'])},{_fmt(scores['fd_y'])},{_fmt(scores['cycle_err'])},"
-                    f"{_fmt(state.last['energy_init'])},{_fmt(state.last['energy_revised'])},"
-                    f"{_fmt(state.last['teach_loss'])},{_fmt(seconds)}\n"
-                )
+                row = {**scores, **state.last, "seconds": time.perf_counter() - start}
+                mf.write(",".join([str(it)] + [repr(float(row[c])) for c in METRICS_HEADER.split(",")[1:]]) + "\n")
                 mf.flush()
             if it % cfg.checkpoint_every == 0 or it == cfg.iterations:
                 save_checkpoint(state, cfg, desc_x, desc_y, out)

@@ -243,6 +243,16 @@ def test_gen_rejects_bad_descriptor(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, cause",
+    [("ring n=5 n=7 modes=3 seed=1", "'n' given twice"), ("ring n=abc seed=0", "'n' expects int, got 'abc'")],
+)
+def test_gen_names_repeated_key_or_bad_value(tmp_path, capsys, line, cause):
+    assert main(["gen", line, "--out", str(tmp_path)]) == 1
+    assert cause in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------- fixtures
 
 

@@ -1,6 +1,9 @@
 """Dataset generator contracts: statistical oracles at fixed seeds, bitwise
 regeneration from descriptors, and the PPM/CTNS file formats."""
 
+import inspect
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +219,40 @@ class TestDescriptors:
     def test_missing_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             parse_descriptor("ring n=5")
+
+    @pytest.mark.parametrize(
+        "fn, call",
+        [
+            # integer arguments of float parameters are stored as floats: radius=1 -> 1.0
+            (gen_ring, dict(n=5, modes=3, radius=1, mode_std=1, rotation=0, scale=2, seed=4)),
+            (gen_shapes, dict(n=2, side=8, shape_kind="disk", palette="dark", seed=5)),
+            (gen_moving_dot, dict(n_seqs=2, length=3, side=16, appearance="hollow", motion_style="static", seed=6)),
+            (gen_ring, dict(n=5, seed=7)),
+        ],
+        ids=["ring", "shapes", "moving_dot", "ring-defaults"],
+    )
+    def test_descriptor_holds_every_signature_parameter(self, fn, call):
+        hints = get_type_hints(fn)
+        signature = inspect.signature(fn).parameters
+        desc = fn(**call).descriptor
+        assert list(desc.params) == [k for k in signature if k != "seed"]
+        for key, value in desc.params.items():
+            expected = call.get(key, signature[key].default)
+            assert type(value) is hints[key] and value == expected, key
+        assert desc.seed == call["seed"]
+
+    @pytest.mark.parametrize("line, key", [("ring n=5 n=7 modes=3 seed=1", "n"), ("ring n=5 modes=3 seed=1 seed=2", "seed")])
+    def test_repeated_key_rejected(self, line, key):
+        with pytest.raises(ValueError, match=f"'{key}' given twice"):
+            parse_descriptor(line)
+
+    @pytest.mark.parametrize(
+        "line, key, typ",
+        [("ring n=abc seed=0", "n", "int"), ("ring n=5 radius=wide seed=0", "radius", "float"), ("ring n=5 seed=x", "seed", "int")],
+    )
+    def test_bad_value_names_key_and_type(self, line, key, typ):
+        with pytest.raises(ValueError, match=f"key '{key}' expects {typ}"):
+            parse_descriptor(line)
 
 
 class TestPpm:

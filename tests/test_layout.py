@@ -1,10 +1,13 @@
 """Module boundaries: no coopforge module imports another module's private names,
-and gradients travel only as ``backward``'s return value."""
+gradients travel only as ``backward``'s return value, and every name the
+benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coopforge"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coopforge"
 
 
 def test_no_module_imports_private_names():
@@ -30,3 +33,20 @@ def test_no_module_keeps_gradient_buffers():
             if isinstance(node, ast.Attribute) and node.attr in ("grad", "zero_grad", "accumulate_grad"):
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert offenders == []
+
+
+def test_names_the_tracer_wraps_exist():
+    # perfbench/tracer.py looks these up by name; read them without importing perfbench
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    tables = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "NETWORKS")
+    }
+    assert tables.keys() == {"FUNCTIONS", "NETWORKS"}
+    networks = importlib.import_module("coopforge.networks")
+    missing = [f"{module}.{attr}" for _, module, attr in tables["FUNCTIONS"] if not hasattr(importlib.import_module(module), attr)]
+    missing += [f"networks.{cls}.forward" for cls in tables["NETWORKS"] if "forward" not in vars(getattr(networks, cls, object))]
+    assert tables["FUNCTIONS"] and tables["NETWORKS"] and missing == []

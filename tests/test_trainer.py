@@ -1,5 +1,6 @@
 """Trainer checks: optimizer oracles, phase semantics, checkpoint fidelity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from coopforge.trainer import (
     TrainConfig,
     TrainPhaseError,
     adam_step,
+    config_from_dict,
     init_state,
     load_checkpoint,
     save_checkpoint,
@@ -481,6 +483,30 @@ def test_checkpoint_round_trip(tmp_path):
         for k in slots.m:
             np.testing.assert_array_equal(loaded.opt[g].m[k], slots.m[k])
             np.testing.assert_array_equal(loaded.opt[g].v[k], slots.v[k])
+
+
+def test_config_from_dict_inverts_asdict():
+    cfg = ring_cfg(
+        langevin=LangevinConfig(steps=7, step_size=0.05, noise_scale=0.5, seed=3),
+        weights=LossWeights(lambda_cyc=1.0, lambda1=2.0, lambda2=3.0),
+    )
+    assert cfg.langevin != TrainConfig(iterations=1).langevin and cfg.weights != LossWeights()
+    assert config_from_dict(TrainConfig, dataclasses.asdict(cfg)) == cfg
+
+
+def test_unscorable_eval_sets_fail_before_training(tmp_path, monkeypatch):
+    # 10 held-out images give 10 samples of 16-dim features; the distance needs 17
+    shapes_x = DomainDescriptor("shapes", {"n": 12, "side": 16, "shape_kind": "square", "palette": "bright"}, 1)
+    shapes_y = DomainDescriptor("shapes", {"n": 12, "side": 16, "shape_kind": "disk", "palette": "dark"}, 2)
+    cfg = ring_cfg(eval_samples=10)
+
+    def no_iteration(*args):
+        raise AssertionError("an iteration ran")
+
+    monkeypatch.setattr(trainer, "train_iteration", no_iteration)
+    with pytest.raises(ValueError, match="first set has 10 samples; 16-dim features need at least 17"):
+        train(cfg, shapes_x, shapes_y, tmp_path)
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_train_cadence_single_iteration(tmp_path):
