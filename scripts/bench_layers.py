@@ -1,0 +1,224 @@
+"""Per-layer convolution benchmark at the moving-dot recipe's call census.
+
+    python3 scripts/bench_layers.py --out layers.json
+    python3 scripts/bench_layers.py --src /path/to/other/checkout/src --out other.json
+
+The census is read from the program itself: ``conv2d`` and
+``conv2d_transpose`` are counted during a 3-iteration and a 1-iteration dot
+run (``perfbench/recipes.py``), and the difference over two iterations is
+what one training iteration calls. A call is keyed by its op, input and
+kernel shapes, stride, pads, bias, dtype, which inputs need a gradient and
+whether a tape records it; each key counts its forward calls and the
+backward calls the tape made.
+
+Every key is then timed on seeded inputs: the forward (on a tape when the
+census saw one) and the recorded backward. One repeat times every key
+once, so each repeat also gives one per-iteration total, the sum of call
+count times time. The output holds, per key and for the totals, the median
+and quartiles over the repeats, plus the machine facts. BLAS is pinned to
+one thread before numpy loads.
+"""
+
+import os
+import sys
+
+_PIN_VARS = ("COOPFORGE_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules:
+    sys.exit("error: numpy was loaded before the BLAS thread count could be pinned")
+for _var in _PIN_VARS:
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from collections import Counter  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+OPS = ("conv2d", "conv2d_transpose")
+REPEATS = 41  # timed passes over the whole census
+INNER = 5  # calls per key per pass
+
+
+def _key(T, op, x, w, b, kwargs) -> tuple:
+    needs = (x.requires_grad, w.requires_grad, b is not None and b.requires_grad)
+    return (
+        op,
+        tuple(x.shape),
+        tuple(w.shape),
+        kwargs.get("stride", 1),
+        kwargs.get("pad", 0),
+        kwargs.get("out_pad", 0),
+        b is not None,
+        x.dtype.name,
+        *needs,
+        bool(T._active_graphs) and any(needs),
+    )
+
+
+def census(T, trainer, recipes) -> dict:
+    """Forward and backward calls per dot training iteration, by call key."""
+    counts = {"fwd": Counter(), "bwd": Counter()}
+    originals = {op: getattr(T, op) for op in OPS}
+
+    def counting(op):
+        def wrapped(x, w, b=None, **kwargs):
+            key = _key(T, op, x, w, b, kwargs)
+            counts["fwd"][key] += 1
+            out = originals[op](x, w, b, **kwargs)
+            graphs = T._active_graphs
+            if out.requires_grad and graphs and graphs[-1].nodes[-1].out is out:
+                node = graphs[-1].nodes[-1]
+                bwd = node.bwd
+
+                def counted_bwd(g):
+                    counts["bwd"][key] += 1
+                    return bwd(g)
+
+                node.bwd = counted_bwd
+            return out
+
+        return wrapped
+
+    def run(iterations):
+        counts["fwd"].clear()
+        counts["bwd"].clear()
+        cfg = recipes.seeded(recipes.DOT_CONFIG, 0, iterations)
+        with tempfile.TemporaryDirectory() as out:
+            trainer.train(cfg, recipes.DOT_X, recipes.DOT_Y, Path(out))
+        return {kind: Counter(c) for kind, c in counts.items()}
+
+    for op in OPS:
+        setattr(T, op, counting(op))
+    try:
+        one, three = run(1), run(3)
+    finally:
+        for op, fn in originals.items():
+            setattr(T, op, fn)
+    keys = sorted(set(three["fwd"]) | set(one["fwd"]))
+    per_iter = {}
+    for key in keys:
+        fwd = (three["fwd"][key] - one["fwd"][key]) / 2
+        bwd = (three["bwd"][key] - one["bwd"][key]) / 2
+        if fwd or bwd:
+            per_iter[key] = (fwd, bwd)
+    return per_iter
+
+
+def _inputs(T, np, key, seed):
+    op, xs, ws, stride, pad, out_pad, has_b, dtype, need_x, need_w, need_b, _ = key
+    rng = np.random.default_rng(seed)
+    x = T.Tensor(rng.normal(size=xs).astype(dtype), requires_grad=need_x)
+    w = T.Tensor((0.1 * rng.normal(size=ws)).astype(dtype), requires_grad=need_w)
+    f = ws[0] if op == "conv2d" else ws[1]
+    b = T.Tensor(rng.normal(size=f).astype(dtype), requires_grad=need_b) if has_b else None
+    kwargs = {"stride": stride, "pad": pad}
+    if op == "conv2d_transpose":
+        kwargs["out_pad"] = out_pad
+    return getattr(T, op), x, w, b, kwargs
+
+
+def time_key(T, np, key, inner: int) -> tuple[float, float]:
+    """Mean ms of one forward and of one recorded backward, over ``inner`` calls."""
+    fn, x, w, b, kwargs = _inputs(T, np, key, seed=0)
+    recorded = key[-1]
+    start = time.perf_counter()
+    for _ in range(inner):
+        if recorded:
+            with T.Graph() as graph:
+                out = fn(x, w, b, **kwargs)
+        else:
+            out = fn(x, w, b, **kwargs)
+    fwd = (time.perf_counter() - start) / inner
+    if not recorded:
+        return 1e3 * fwd, 0.0
+    (node,) = graph.nodes
+    g = np.random.default_rng(1).normal(size=out.shape).astype(out.dtype)
+    start = time.perf_counter()
+    for _ in range(inner):
+        node.bwd(g)
+    bwd = (time.perf_counter() - start) / inner
+    return 1e3 * fwd, 1e3 * bwd
+
+
+def _quartiles(values) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"p25": q1, "p50": q2, "p75": q3}
+
+
+def _cpu_model() -> str | None:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the coopforge package to time")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "coopforge" / "__init__.py").is_file():
+        sys.exit(f"error: no coopforge package under {src}")
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+
+    import numpy as np
+
+    import machine
+    import recipes
+    from coopforge import tensor as T
+    from coopforge import trainer
+
+    calls = census(T, trainer, recipes)
+    for key in calls:  # warm-up: first calls allocate and fault in memory
+        time_key(T, np, key, 1)
+    samples = {key: ([], []) for key in calls}
+    totals = {"fwd": [], "bwd": [], "all": []}
+    for _ in range(REPEATS):
+        fwd_total = bwd_total = 0.0
+        for key, (n_fwd, n_bwd) in calls.items():
+            fwd, bwd = time_key(T, np, key, INNER)
+            samples[key][0].append(fwd)
+            samples[key][1].append(bwd)
+            fwd_total += n_fwd * fwd
+            bwd_total += n_bwd * bwd
+        totals["fwd"].append(fwd_total)
+        totals["bwd"].append(bwd_total)
+        totals["all"].append(fwd_total + bwd_total)
+
+    names = ("op", "x", "w", "stride", "pad", "out_pad", "bias", "dtype", "need_x", "need_w", "need_b", "taped")
+    layers = []
+    for key, (n_fwd, n_bwd) in calls.items():
+        fwd, bwd = samples[key]
+        layers.append(
+            {
+                **dict(zip(names, key)),
+                "fwd_calls_per_iter": n_fwd,
+                "bwd_calls_per_iter": n_bwd,
+                "fwd_ms": _quartiles(fwd),
+                "bwd_ms": _quartiles(bwd) if n_bwd else None,
+            }
+        )
+    report = {
+        "src": str(src),
+        "repeats": REPEATS,
+        "inner": INNER,
+        "conv_ms_per_iter": {kind: _quartiles(v) for kind, v in totals.items()},
+        "layers": layers,
+        "machine": {**machine.facts(), "cpu": _cpu_model(), "platform": platform.platform()},
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    total = report["conv_ms_per_iter"]["all"]
+    print(f"{len(layers)} conv call keys; conv ms per dot iteration p50 {total['p50']:.2f} (p25 {total['p25']:.2f}, p75 {total['p75']:.2f})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -97,6 +97,9 @@ def gen_ring(
     Gaussian blob). rotation and scale let a second call with another seed
     define a structurally related counterpart domain.
     """
+    for key, val in (("radius", radius), ("mode_std", mode_std), ("rotation", rotation), ("scale", scale)):
+        if not np.isfinite(val):
+            raise ValueError(f"{key} must be finite, got {val}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if modes < 1:

@@ -3,6 +3,12 @@
 Float32 is the training precision; float64 is used for gradient checking.
 Ops record onto the innermost active ``Graph`` (a tape) whenever any input
 requires a gradient; with no active graph everything runs in eval mode.
+
+Convolutions take and return NCHW arrays but run a channels-last im2col:
+one copy per call into columns ordered (kh, kw, C). The input gradient of
+``conv2d`` is gathered, as a full correlation of the stride-dilated output
+gradient with the flipped kernel, when the layer has fewer output than
+input channels (F < C); otherwise it is scattered back through col2im.
 """
 
 from __future__ import annotations
@@ -435,32 +441,42 @@ def channel_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 # -- convolution ------------------------------------------------------------
+# NCHW arrays are viewed as NHWC and kernels as (F, kh, kw, C), matching the
+# (kh, kw, C) column order, so C is the innermost axis of every im2col copy,
+# scatter-add and GEMM.
+
+
+def _nhwc(a: np.ndarray) -> np.ndarray:
+    return a.transpose(0, 2, 3, 1)
+
+
+def _nchw(a: np.ndarray) -> np.ndarray:
+    return a.transpose(0, 3, 1, 2)
 
 
 def _pad(a: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of an NCHW array by ``pad`` on each side."""
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=a.dtype)
-    out[:, :, pad : pad + h, pad : pad + w] = a
+    """Zero-pad the two spatial axes of an NHWC array by ``pad`` on each side."""
+    n, h, w, c = a.shape
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=a.dtype)
+    out[:, pad : pad + h, pad : pad + w] = a
     return out
 
 
-def _conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int):
-    """im2col on an already-padded NCHW array -> (N*Ho*Wo, C*kh*kw)."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (N, C, Ho, Wo, kh, kw)
-    n, c, ho, wo = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), ho, wo
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
+    """im2col on an already-padded NHWC array -> (N*Ho*Wo, kh*kw*C), Ho, Wo."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    n, ho, wo, c = win.shape[:4]  # (N, Ho, Wo, C, kh, kw)
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * c), ho, wo
 
 
-def _cols_to_image(cols: np.ndarray, n, c, hp, wp, ho, wo, kh, kw, stride) -> np.ndarray:
-    """Adjoint of im2col: scatter-add column gradients back to (N,C,Hp,Wp)."""
-    img = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: scatter-add (N*Ho*Wo, kh*kw*C) columns into a
+    zero NHWC array of the padded ``shape``."""
+    img = np.zeros(shape, dtype=cols.dtype)
+    cols = cols.reshape(shape[0], ho, wo, kh, kw, shape[3])
     for ki in range(kh):
         for kj in range(kw):
-            img[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += cols[..., ki, kj]
+            img[:, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += cols[:, :, :, ki, kj]
     return img
 
 
@@ -477,25 +493,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise _shape_err("conv2d", x.shape, w.shape)
     if b is not None and b.shape != (f,):
         raise _shape_err("conv2d(bias)", b.shape, (f,))
-    xp = _pad(x.data, pad) if pad else x.data
-    cols, ho, wo = _conv_cols(xp, kh, kw, stride)
-    wmat = w.data.reshape(f, -1)
+    xp = _pad(_nhwc(x.data), pad) if pad else _nhwc(x.data)
+    cols, ho, wo = _im2col(xp, kh, kw, stride)
+    wmat = _nhwc(w.data).reshape(f, kh * kw * c)
     out_mat = cols @ wmat.T
     if b is not None:
         out_mat = out_mat + b.data
-    out = Tensor(out_mat.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
-    hp, wp = xp.shape[2], xp.shape[3]
+    out = Tensor(_nchw(out_mat.reshape(n, ho, wo, f)))
     # gradients nobody reads (data inputs, frozen weights) are never computed
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
+    # dx of a layer with fewer output than input channels is gathered: a full
+    # correlation of the stride-dilated g with the flipped kernel, one GEMM
+    # over kh*kw*F columns instead of kh*kw scatter-adds of C channels. A
+    # widening layer scatters, since gathering would build the wider columns.
+    gather = f < c and pad < min(kh, kw)
 
     def bwd(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
-        dw = (gmat.T @ cols).reshape(w.shape) if need_w else None
+        gh = _nhwc(g)
+        gmat = gh.reshape(n * ho * wo, f)
+        dw = _nchw((gmat.T @ cols).reshape(f, kh, kw, c)) if need_w else None
         dx = None
-        if need_x:
-            dxp = _cols_to_image(gmat @ wmat, n, c, hp, wp, ho, wo, kh, kw, stride)
-            dx = dxp[:, :, pad : hp - pad, pad : wp - pad] if pad else dxp
+        if need_x and gather:
+            # kh-1-pad zeros ahead of g; the buffer's extent makes the output H
+            # whatever remainder the stride left behind the last window
+            top, left = kh - 1 - pad, kw - 1 - pad
+            gp = np.zeros((n, h + kh - 1, wd + kw - 1, f), dtype=g.dtype)
+            gp[:, top : top + stride * ho : stride, left : left + stride * wo : stride] = gh
+            wflip = wmat.reshape(f, kh, kw, c)[:, ::-1, ::-1].transpose(1, 2, 0, 3).reshape(kh * kw * f, c)
+            dx = _nchw((_im2col(gp, kh, kw, 1)[0] @ wflip).reshape(n, h, wd, c))
+        elif need_x:
+            dxp = _col2im(gmat @ wmat, (n, h + 2 * pad, wd + 2 * pad, c), kh, kw, stride, ho, wo)
+            dx = _nchw(dxp[:, pad : pad + h, pad : pad + wd])
         if b is None:
             return dx, dw
         return dx, dw, (gmat.sum(axis=0) if need_b else None)
@@ -529,26 +558,24 @@ def conv2d_transpose(
         raise _shape_err("conv2d_transpose", x.shape, w.shape)
     if b is not None and b.shape != (cout,):
         raise _shape_err("conv2d_transpose(bias)", b.shape, (cout,))
-    # Scatter each input pixel's contribution x[n,:,i,j] @ w into a padded
+    # Scatter each input pixel's contribution x[n,i,j,:] @ w into a padded
     # buffer at (i*stride, j*stride), then crop the pad margin.
-    xmat = x.data.transpose(0, 2, 3, 1).reshape(n * h * wd, cin)
-    wmat = w.data.reshape(cin, cout * kh * kw)
-    cols = xmat @ wmat
-    hp, wp = ho + 2 * pad, wo + 2 * pad
-    buf = _cols_to_image(cols, n, cout, hp, wp, h, wd, kh, kw, stride)
-    out_arr = buf[:, :, pad : pad + ho, pad : pad + wo]
+    xmat = _nhwc(x.data).reshape(n * h * wd, cin)
+    wmat = _nhwc(w.data).reshape(cin, kh * kw * cout)
+    buf = _col2im(xmat @ wmat, (n, ho + 2 * pad, wo + 2 * pad, cout), kh, kw, stride, h, wd)
+    out_arr = buf[:, pad : pad + ho, pad : pad + wo]
     if b is not None:
-        out_arr = out_arr + b.data.reshape(1, cout, 1, 1)
-    out = Tensor(out_arr)
+        out_arr = out_arr + b.data
+    out = Tensor(_nchw(out_arr))
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
 
     def bwd(g):
-        gp = _pad(g, pad) if pad else g
-        gcols, gh, gw = _conv_cols(gp, kh, kw, stride)  # (n*h*wd, cout*kh*kw)
+        gp = _pad(_nhwc(g), pad) if pad else _nhwc(g)
+        gcols, gh, gw = _im2col(gp, kh, kw, stride)  # (n*h*wd, kh*kw*cout)
         assert (gh, gw) == (h, wd)
-        dx = (gcols @ wmat.T).reshape(n, h, wd, cin).transpose(0, 3, 1, 2) if need_x else None
-        dw = (xmat.T @ gcols).reshape(w.shape) if need_w else None
+        dx = _nchw((gcols @ wmat.T).reshape(n, h, wd, cin)) if need_x else None
+        dw = _nchw((xmat.T @ gcols).reshape(cin, kh, kw, cout)) if need_w else None
         if b is None:
             return dx, dw
         return dx, dw, (g.sum(axis=(0, 2, 3)) if need_b else None)

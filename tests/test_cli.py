@@ -245,7 +245,12 @@ def test_gen_rejects_bad_descriptor(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line, cause",
-    [("ring n=5 n=7 modes=3 seed=1", "'n' given twice"), ("ring n=abc seed=0", "'n' expects int, got 'abc'")],
+    [
+        ("ring n=5 n=7 modes=3 seed=1", "'n' given twice"),
+        ("ring n=abc seed=0", "'n' expects int, got 'abc'"),
+        ("ring n=5 rotation=inf seed=0", "rotation must be finite, got inf"),
+        ("ring n=5 mode_std=nan seed=0", "mode_std must be finite, got nan"),
+    ],
 )
 def test_gen_names_repeated_key_or_bad_value(tmp_path, capsys, line, cause):
     assert main(["gen", line, "--out", str(tmp_path)]) == 1

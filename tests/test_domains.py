@@ -79,6 +79,15 @@ class TestRing:
         with pytest.raises(ValueError, match="n must"):
             gen_ring(0)
 
+    @pytest.mark.parametrize(
+        "key, value", [("radius", np.nan), ("mode_std", np.nan), ("scale", np.nan), ("rotation", np.inf), ("radius", -np.inf)]
+    )
+    def test_non_finite_parameter_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite, got {value}"):
+            gen_ring(10, **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            generate(parse_descriptor(f"ring n=10 {key}={value} seed=0"))
+
 
 class TestShapes:
     @pytest.mark.parametrize("kind,palette", [("square", "bright"), ("disk", "dark")])

@@ -233,6 +233,30 @@ class TestConv2d:
         w = leaf(rng.normal(size=(2, 2, 3, 3)))
         check_op(lambda: T.conv2d(x, w, stride=1, pad=1).square().sum(), {"x": x, "w": w}, rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, stride, pad",
+        [
+            ((1, 4, 6, 6), (2, 4, 7, 7), 1, 3),
+            # (6 + 2 - 3) % 2 == 1: the last input row and column sit past every window
+            ((1, 3, 6, 6), (2, 3, 3, 3), 2, 1),
+            # pad >= k leaves no room ahead of g for the gather: dx is scattered
+            ((1, 4, 4, 4), (2, 4, 3, 3), 1, 3),
+        ],
+        ids=["7x7-s1", "3x3-s2-uneven", "3x3-pad3-scatter"],
+    )
+    def test_grads_narrowing(self, x_shape, w_shape, stride, pad):
+        # fewer output than input channels: dx is gathered, or scattered when pad >= k
+        rng = np.random.default_rng(21)
+        x = leaf(rng.normal(size=x_shape))
+        w = leaf(rng.normal(size=w_shape))
+        b = leaf(rng.normal(size=w_shape[:1]))
+        check_op(
+            lambda: T.conv2d(x, w, b, stride=stride, pad=pad).square().sum(),
+            {"x": x, "w": w, "b": b},
+            rtol=1e-5,
+            atol=1e-7,
+        )
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError, match="conv2d"):
             T.conv2d(Tensor(np.ones((1, 3, 8, 8))), Tensor(np.ones((4, 2, 3, 3))))
@@ -290,6 +314,55 @@ class TestConv2dTranspose:
             T.conv2d_transpose(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))), stride=1, out_pad=1)
 
 
+# (name, op, x, w, stride, pad, out_pad) of every conv layer shape the image
+# translator, scorer and predictor run on 16x16 frames
+NETWORK_LAYERS = [
+    ("enc0", "conv2d", (2, 1, 16, 16), (16, 1, 7, 7), 1, 3, 0),
+    ("enc1", "conv2d", (2, 16, 16, 16), (32, 16, 3, 3), 2, 1, 0),
+    ("res", "conv2d", (2, 32, 8, 8), (32, 32, 3, 3), 1, 1, 0),
+    ("dec0", "conv2d_transpose", (2, 32, 8, 8), (32, 16, 3, 3), 2, 1, 1),
+    ("dec1", "conv2d", (2, 16, 16, 16), (1, 16, 7, 7), 1, 3, 0),
+    ("scorer0", "conv2d", (2, 1, 16, 16), (32, 1, 5, 5), 2, 2, 0),
+    ("pred2", "conv2d", (2, 16, 16, 16), (1, 16, 3, 3), 1, 1, 0),
+]
+
+
+class TestNetworkLayerShapes:
+    @pytest.mark.parametrize("layer", NETWORK_LAYERS, ids=[layer[0] for layer in NETWORK_LAYERS])
+    def test_forward_matches_naive(self, layer):
+        _, op, x_shape, w_shape, stride, pad, out_pad = layer
+        rng = np.random.default_rng(22)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        if op == "conv2d":
+            b = rng.normal(size=w_shape[0])
+            got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
+            want = conv2d_naive(x, w, b, stride, pad)
+        else:
+            b = rng.normal(size=w_shape[1])
+            got = T.conv2d_transpose(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad, out_pad=out_pad)
+            want = conv2d_transpose_naive(x, w, b, stride, pad, out_pad)
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("layer", NETWORK_LAYERS, ids=[layer[0] for layer in NETWORK_LAYERS])
+    def test_float32_stays_float32(self, layer):
+        _, op, x_shape, w_shape, stride, pad, out_pad = layer
+        rng = np.random.default_rng(23)
+        kwargs = dict(stride=stride, pad=pad) if op == "conv2d" else dict(stride=stride, pad=pad, out_pad=out_pad)
+        b_size = w_shape[0] if op == "conv2d" else w_shape[1]
+        params = {
+            "x": leaf(rng.normal(size=x_shape), np.float32),
+            "w": leaf(rng.normal(size=w_shape), np.float32),
+            "b": leaf(rng.normal(size=b_size), np.float32),
+        }
+        with Graph() as g:
+            out = T.OPS[op](params["x"], params["w"], params["b"], **kwargs)
+            total = out.square().sum()
+        (node,) = [n for n in g.nodes if n.op == op]
+        assert out.dtype == np.float32
+        assert all(grad.dtype == np.float32 for grad in node.bwd(np.ones(out.shape, np.float32)))
+        assert all(grad.dtype == np.float32 for grad in backward(g, total, params).values())
+
+
 class TestUnreadGradients:
     """Ops skip the gradients of inputs that need none, bit for bit otherwise."""
 
@@ -298,6 +371,10 @@ class TestUnreadGradients:
         "conv2d": (
             lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1),
             ((2, 2, 5, 5), (3, 2, 3, 3), (3,)),
+        ),
+        "conv2d_narrowing": (
+            lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1),
+            ((2, 3, 5, 5), (2, 3, 3, 3), (2,)),
         ),
         "conv2d_transpose": (
             lambda x, w, b: T.conv2d_transpose(x, w, b, stride=2, pad=1, out_pad=1),
@@ -332,10 +409,11 @@ class TestUnreadGradients:
                     assert g is None, (name, needs)
 
     def test_pad_matches_numpy(self):
-        a = np.random.default_rng(20).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        # _pad takes channels-last (N, H, W, C) arrays
+        a = np.random.default_rng(20).normal(size=(2, 4, 5, 3)).astype(np.float32)
         got = T._pad(a, 2)
         assert got.dtype == a.dtype
-        np.testing.assert_array_equal(got, np.pad(a, ((0, 0), (0, 0), (2, 2), (2, 2))))
+        np.testing.assert_array_equal(got, np.pad(a, ((0, 0), (2, 2), (2, 2), (0, 0))))
 
 
 # ---------------------------------------------------------------------------
