@@ -1,0 +1,98 @@
+"""Bitwise output gate: this checkout and a parent checkout must write the same files.
+
+    python3 scripts/same_outputs.py --parent /path/to/parent/checkout
+
+Each side trains in its own subprocess, with ``PYTHONPATH=<side>/src`` and
+``COOPFORGE_THREADS=1`` set before numpy loads, using the recipes of this
+checkout's ``perfbench/recipes.py`` at seed 5:
+
+- ring: the ring recipe, 200 iterations, ``eval_every=50``;
+- dot: the moving-dot recipe, 12 iterations, ``eval_every=4``;
+- dot_no_cycle: the same dot run with ``sequence_cycle=False``;
+- shapes: a 4-iteration run on the shapes pair at the dot recipe's sampler.
+
+``coopforge eval`` then runs on each final checkpoint. Every file a side
+wrote is hashed, ``metrics.csv`` with its ``seconds`` column dropped. The
+script prints the files that differ and exits 1 if any do.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 5
+SIDES = ("parent", "change")
+
+
+def run_side(out: str) -> None:
+    """Train every run under ``out`` and eval its final checkpoint.
+
+    Called in a side's subprocess after ``import coopforge``, so the BLAS
+    thread cap is in place before numpy loads.
+    """
+    from dataclasses import replace
+
+    import recipes
+    from coopforge.cli import main
+    from coopforge.domains import DomainDescriptor
+    from coopforge.trainer import train
+
+    shapes_x = DomainDescriptor("shapes", {"n": 12, "side": 16, "shape_kind": "square", "palette": "bright"}, seed=1)
+    shapes_y = DomainDescriptor("shapes", {"n": 12, "side": 16, "shape_kind": "disk", "palette": "dark"}, seed=2)
+    dot = replace(recipes.DOT_CONFIG, eval_every=4)
+    runs = {
+        "ring": (replace(recipes.RING_CONFIG, eval_every=50), 200, recipes.RING_X, recipes.RING_Y),
+        "dot": (dot, 12, recipes.DOT_X, recipes.DOT_Y),
+        "dot_no_cycle": (replace(dot, sequence_cycle=False), 12, recipes.DOT_X, recipes.DOT_Y),
+        "shapes": (replace(recipes.DOT_CONFIG, eval_every=2, eval_samples=20), 4, shapes_x, shapes_y),
+    }
+    for name, (cfg, iterations, desc_x, desc_y) in runs.items():
+        state, _ = train(recipes.seeded(cfg, SEED, iterations), desc_x, desc_y, Path(out) / name)
+        if main(["eval", "--checkpoint", str(Path(out) / name / f"ckpt_{state.t}")]) != 0:
+            raise RuntimeError(f"coopforge eval failed on {name}")
+
+
+def _digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "metrics.csv":
+        lines = [row.split(",") for row in data.decode().splitlines()]
+        drop = lines[0].index("seconds")
+        data = "\n".join(",".join(v for i, v in enumerate(row) if i != drop) for row in lines).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def hash_side(checkout: Path, out: Path) -> dict:
+    env = {**os.environ, "COOPFORGE_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join([str(checkout / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")])
+    code = f"import coopforge, same_outputs; same_outputs.run_side({str(out)!r})"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: the run in {checkout} failed:\n{proc.stderr}")
+    return {str(p.relative_to(out)): _digest(p) for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="root of the parent coopforge checkout")
+    args = parser.parse_args(argv)
+    checkouts = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    if not (checkouts["parent"] / "src" / "coopforge" / "__init__.py").is_file():
+        sys.exit(f"error: no coopforge checkout at {checkouts['parent']}")
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = {side: hash_side(checkouts[side], Path(tmp) / side) for side in SIDES}
+    names = sorted(hashes["parent"].keys() | hashes["change"].keys())
+    differ = [name for name in names if hashes["parent"].get(name) != hashes["change"].get(name)]
+    for name in differ:
+        where = [side for side in SIDES if name in hashes[side]]
+        print(f"differs: {name}" if len(where) == 2 else f"only in {where[0]}: {name}")
+    print(f"{len(names)} files compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

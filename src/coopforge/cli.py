@@ -265,14 +265,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if ds_x.kind == "sequences" and _motion_paired(desc_x, desc_y):
         pair_psnr = float(np.mean([psnr(t, y, 1.0) for t, y in zip(to_y, eval_y)]))
 
-    row = {
-        "fd_x": scores["fd_x"],
-        "fd_y": scores["fd_y"],
-        "cycle_err": scores["cycle_err"],
-        "mode_min": mode_min,
-        "mode_uncaptured": mode_unc,
-        "psnr": pair_psnr,
-    }
+    row = {**scores, "mode_min": mode_min, "mode_uncaptured": mode_unc, "psnr": pair_psnr}
     out = Path(args.out) if args.out else Path(args.checkpoint)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "eval.csv"

@@ -15,9 +15,8 @@ import numpy as np
 
 from .domains import DomainDataset, DomainDescriptor, save_ppm, with_count
 from .langevin import LangevinConfig, revise
-from .metrics import FeatureMap, frechet_distance
+from .metrics import FeatureMap, cycle_error, frechet_distance
 from .networks import EnergyModel, Net
-from .objectives import cycle_loss
 from .tensor import ShapeError, Tensor
 
 __all__ = [
@@ -73,16 +72,18 @@ def eval_langevin(cfg) -> LangevinConfig:
 
 
 def evaluate(state, eval_x: np.ndarray, eval_y: np.ndarray, fm: FeatureMap) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Held-out distances and round-trip error, with the translations
-    G_xy(eval_x) and G_yx(eval_y) they read. The round trips start from
-    those translations, so ``cycle_err`` equals ``metrics.cycle_error``.
+    """Held-out scores and the translations to_y = G_xy(eval_x) and
+    to_x = G_yx(eval_y) they read: ``fd_x`` compares to_y with eval_y,
+    ``fd_y`` compares to_x with eval_x, and ``cycle_err`` is
+    ``metrics.cycle_error`` of the round trips G_yx(to_y) and G_xy(to_x).
+    Four translator forwards in eval mode; nothing is recorded.
     """
     to_y = run_translator(state.g_xy, eval_x)
     to_x = run_translator(state.g_yx, eval_y)
     scores = {
         "fd_x": frechet_distance(to_y, eval_y, fm),
         "fd_y": frechet_distance(to_x, eval_x, fm),
-        "cycle_err": float(cycle_loss(state.g_xy, state.g_yx, eval_x, eval_y, to_x, to_y).data),
+        "cycle_err": cycle_error(eval_x, run_translator(state.g_yx, to_y), eval_y, run_translator(state.g_xy, to_x)),
     }
     return scores, to_y, to_x
 

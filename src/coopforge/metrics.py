@@ -1,10 +1,9 @@
 """Evaluation metrics for translated sample sets.
 
-Everything here is pure and gradient-free: inputs are plain arrays (or
-translators called in eval mode), outputs are floats or small result
-records. Feature extraction goes through an explicit `FeatureMap`, so
-every reported number names the map it was computed under; distances
-from different maps are not comparable.
+Everything here is pure and gradient-free: inputs are plain arrays,
+outputs are floats or small result records. Feature extraction goes
+through an explicit `FeatureMap`, so every reported number names the map
+it was computed under; distances from different maps are not comparable.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import cycle_loss
 from .rng import PURPOSE_METRIC, stream
-from .tensor import Tensor
 
 __all__ = [
     "FeatureMap",
@@ -187,14 +184,18 @@ def mode_coverage(samples, mode_centers, capture_radius: float) -> ModeCoverage:
     return ModeCoverage(fractions=fractions, uncaptured=uncaptured)
 
 
-def cycle_error(g_xy, g_yx, set_x, set_y) -> float:
-    """Mean L1 round-trip reconstruction error over both directions.
-
-    Evaluated outside any recording graph, so no gradients accrue.
+def cycle_error(set_x, back_x, set_y, back_y) -> float:
+    """Mean L1 round-trip error over both directions, in the inputs' dtype:
+    sum_i ||x_i - back_x_i||_1 / n + sum_j ||y_j - back_y_j||_1 / m, where
+    back_x = G_yx(G_xy(set_x)) and back_y = G_xy(G_yx(set_y)).
     """
-    xs = np.asarray(set_x)
-    ys = np.asarray(set_y)
-    if xs.shape[0] == 0 or ys.shape[0] == 0:
-        raise ValueError("cycle error needs non-empty sets on both sides")
-    x, y = Tensor(xs), Tensor(ys)
-    return float(cycle_loss(g_xy, g_yx, x, y, g_yx.forward(y), g_xy.forward(x)).data)
+    terms = []
+    for name, data, back in (("set_x", set_x, back_x), ("set_y", set_y, back_y)):
+        data, back = np.asarray(data), np.asarray(back)
+        if data.ndim == 0 or len(data) == 0:
+            raise ValueError(f"cycle error needs non-empty sets on both sides, {name} has shape {data.shape}")
+        if back.shape != data.shape:
+            raise ValueError(f"the round trip of {name} has shape {back.shape}, but {name} has {data.shape}")
+        gap = np.abs(data - back)
+        terms.append(gap.sum() * gap.dtype.type(1.0 / len(data)))
+    return float(terms[0] + terms[1])

@@ -242,7 +242,7 @@ class EnergyModel:
         return T.neg(self.score(x)) + ref
 
     def energy_sum(self, x: Tensor) -> Tensor:
-        """Total energy of a batch; the scalar Langevin differentiates."""
+        """Total energy of a batch on the tape; ``energy_grad`` equals its input gradient bitwise."""
         return self.energy_each(x).sum()
 
     def energy_grad(self, x: np.ndarray) -> np.ndarray:

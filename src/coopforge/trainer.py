@@ -218,6 +218,8 @@ def init_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset) -> Tr
         raise T.ShapeError(f"sample shapes differ: {ds_x.sample_shape} vs {ds_y.sample_shape}")
     shape = ds_x.sample_shape
     sequence = ds_x.kind == "sequences"
+    if sequence and (length := min(ds_x.examples.shape[1], ds_y.examples.shape[1])) < cfg.k + 1:
+        raise ValueError(f"k = {cfg.k} needs clips of k+1 = {cfg.k + 1} frames, but sequences have length {length}")
     ebm_x = EnergyModel(build_scorer(shape, seed=cfg.seed, name="ebm_x"), cfg.reference_scale)
     ebm_y = EnergyModel(build_scorer(shape, seed=cfg.seed, name="ebm_y"), cfg.reference_scale)
     g_xy = build_translator(shape, seed=cfg.seed, name="g_xy")

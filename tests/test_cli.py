@@ -413,10 +413,11 @@ def test_eval_reproduces_final_metrics_row(ring_run, capsys):
     header, values = (ring_run["ckpt"] / "eval.csv").read_text().splitlines()
     assert header == "fd_x,fd_y,cycle_err,mode_min,mode_uncaptured,psnr"
     got = dict(zip(header.split(","), map(float, values.split(","))))
+    # both sides are repr(float) of one evaluate on bit-equal parameters
     last = (ring_run["out"] / "metrics.csv").read_text().splitlines()[-1].split(",")
-    assert abs(got["fd_x"] - float(last[1])) <= 1e-6
-    assert abs(got["fd_y"] - float(last[2])) <= 1e-6
-    assert abs(got["cycle_err"] - float(last[3])) <= 1e-6
+    assert got["fd_x"] == float(last[1])
+    assert got["fd_y"] == float(last[2])
+    assert got["cycle_err"] == float(last[3])
     # ring target: coverage columns populated, pairing column not
     assert np.isfinite(got["mode_min"]) and np.isfinite(got["mode_uncaptured"])
     assert np.isnan(got["psnr"])

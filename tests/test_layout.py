@@ -1,6 +1,7 @@
 """Module boundaries: no coopforge module imports another module's private names,
-gradients travel only as ``backward``'s return value, and every name the
-benchmark's tracer wraps still exists."""
+only the trainer imports the training losses, metrics import nothing of
+coopforge but its random streams, gradients travel only as ``backward``'s
+return value, and every name the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -21,6 +22,30 @@ def test_no_module_imports_private_names():
             if node.level == 0 and (node.module or "").split(".")[0] != "coopforge":
                 continue
             offenders += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+
+
+def _coopforge_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of every coopforge module that ``path`` imports from."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "coopforge":
+            continue
+        module = (node.module or "").removeprefix("coopforge").lstrip(".")
+        found += [(node.lineno, module)] if module else [(node.lineno, a.name) for a in node.names]
+    return found
+
+
+def test_metrics_keep_their_own_definitions():
+    # a criterion's bound must not move when a training loss is rescaled
+    offenders = [
+        f"{path.name}:{line} {module}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, module in _coopforge_imports(path)
+        if (module == "objectives" and path.name != "trainer.py") or (path.name == "metrics.py" and module != "rng")
+    ]
     assert offenders == []
 
 

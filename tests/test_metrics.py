@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopforge.evaluation import run_translator
 from coopforge.metrics import (
     FeatureMap,
     cycle_error,
@@ -303,13 +304,19 @@ def test_mode_coverage_validation():
 # ---------------------------------------------------------------- cycle error
 
 
+def round_trips(fwd, back, x, y):
+    """(back(fwd(x)), fwd(back(y))) of two translators or stubs, in eval mode."""
+    return run_translator(back, run_translator(fwd, x)), run_translator(fwd, run_translator(back, y))
+
+
 def test_cycle_error_identity_translators():
     g1 = PointTranslator(dim=2, seed=0, name="gxy")
     g2 = PointTranslator(dim=2, seed=1, name="gyx")
     rng = np.random.default_rng(2)
     x = rng.standard_normal((10, 2), dtype=np.float32)
     y = rng.standard_normal((12, 2), dtype=np.float32)
-    assert cycle_error(g1, g2, x, y) == 0.0
+    back_x, back_y = round_trips(g1, g2, x, y)
+    assert cycle_error(x, back_x, y, back_y) == 0.0
 
 
 def test_cycle_error_exact_inverse_pair():
@@ -319,7 +326,8 @@ def test_cycle_error_exact_inverse_pair():
     rng = np.random.default_rng(4)
     x = np.round(rng.uniform(-2, 2, (9, 3)) * 4) / 4
     y = np.round(rng.uniform(-2, 2, (7, 3)) * 4) / 4
-    assert cycle_error(fwd, back, x, y) <= 1e-6
+    back_x, back_y = round_trips(fwd, back, x, y)
+    assert cycle_error(x, back_x, y, back_y) <= 1e-6
 
 
 def test_cycle_error_naive_loop_oracle():
@@ -334,11 +342,20 @@ def test_cycle_error_naive_loop_oracle():
 
     total_x = sum(abs(xi - round_trip(xi, fwd, back)) for row in x for xi in row) / len(x)
     total_y = sum(abs(yj - round_trip(yj, back, fwd)) for row in y for yj in row) / len(y)
-    got = cycle_error(fwd, back, x, y)
+    back_x, back_y = round_trips(fwd, back, x, y)
+    got = cycle_error(x, back_x, y, back_y)
     assert math.isclose(got, total_x + total_y, rel_tol=1e-9)
 
 
 def test_cycle_error_empty_rejected():
     g = Affine(1.0, 0.0)
+    x, y = np.zeros((0, 2)), np.zeros((3, 2))
+    back_x, back_y = round_trips(g, g, x, y)
     with pytest.raises(ValueError, match="non-empty"):
-        cycle_error(g, g, np.zeros((0, 2)), np.zeros((3, 2)))
+        cycle_error(x, back_x, y, back_y)
+
+
+def test_cycle_error_round_trip_shape_mismatch_rejected():
+    x, y = np.zeros((4, 2)), np.zeros((3, 2))
+    with pytest.raises(ValueError, match=r"round trip of set_y has shape \(3, 3\), but set_y has \(3, 2\)"):
+        cycle_error(x, x.copy(), y, np.zeros((3, 3)))

@@ -509,6 +509,19 @@ def test_unscorable_eval_sets_fail_before_training(tmp_path, monkeypatch):
     assert not (tmp_path / "metrics.csv").exists()
 
 
+def test_clips_longer_than_sequences_fail_before_training(tmp_path, monkeypatch):
+    # k = 3 needs 4-frame clips; 3-frame sequences cannot give one
+    short_x, short_y = (dataclasses.replace(d, params={**d.params, "length": 3}) for d in (DOT_X, DOT_Y))
+
+    def no_iteration(*args):
+        raise AssertionError("an iteration ran")
+
+    monkeypatch.setattr(trainer, "train_sequence_iteration", no_iteration)
+    with pytest.raises(ValueError, match=r"k = 3 needs clips of k\+1 = 4 frames, but sequences have length 3"):
+        train(dot_cfg(k=3), short_x, short_y, tmp_path)
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_train_cadence_single_iteration(tmp_path):
     cfg = ring_cfg(iterations=1, eval_every=1, checkpoint_every=1)
     state, path = train(cfg, RING_X, RING_Y, tmp_path)
