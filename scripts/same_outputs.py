@@ -11,9 +11,11 @@ checkout's ``perfbench/recipes.py`` at seed 5:
 - dot_no_cycle: the same dot run with ``sequence_cycle=False``;
 - shapes: a 4-iteration run on the shapes pair at the dot recipe's sampler.
 
-``coopforge eval`` then runs on each final checkpoint. Every file a side
-wrote is hashed, ``metrics.csv`` with its ``seconds`` column dropped. The
-script prints the files that differ and exits 1 if any do.
+``coopforge eval`` then runs on each final checkpoint, and ``coopforge
+translate --direction x2y`` with the checkpoint's own sampler on the first
+held-out X example, written with ``save_ctns``. Every file a side wrote is
+hashed, ``metrics.csv`` with its ``seconds`` column dropped. The script
+prints the files that differ and exits 1 if any do.
 """
 
 import argparse
@@ -30,7 +32,8 @@ SIDES = ("parent", "change")
 
 
 def run_side(out: str) -> None:
-    """Train every run under ``out`` and eval its final checkpoint.
+    """Train every run under ``out``, then eval its final checkpoint and
+    translate one held-out example with it.
 
     Called in a side's subprocess after ``import coopforge``, so the BLAS
     thread cap is in place before numpy loads.
@@ -39,7 +42,9 @@ def run_side(out: str) -> None:
 
     import recipes
     from coopforge.cli import main
-    from coopforge.domains import DomainDescriptor
+    from coopforge.domains import DomainDescriptor, generate
+    from coopforge.evaluation import eval_descriptor
+    from coopforge.tensor import save_ctns
     from coopforge.trainer import train
 
     shapes_x = DomainDescriptor("shapes", {"n": 12, "side": 16, "shape_kind": "square", "palette": "bright"}, seed=1)
@@ -52,9 +57,17 @@ def run_side(out: str) -> None:
         "shapes": (replace(recipes.DOT_CONFIG, eval_every=2, eval_samples=20), 4, shapes_x, shapes_y),
     }
     for name, (cfg, iterations, desc_x, desc_y) in runs.items():
-        state, _ = train(recipes.seeded(cfg, SEED, iterations), desc_x, desc_y, Path(out) / name)
-        if main(["eval", "--checkpoint", str(Path(out) / name / f"ckpt_{state.t}")]) != 0:
-            raise RuntimeError(f"coopforge eval failed on {name}")
+        cfg, run_dir = recipes.seeded(cfg, SEED, iterations), Path(out) / name
+        state, _ = train(cfg, desc_x, desc_y, run_dir)
+        ckpt, held_out = str(run_dir / f"ckpt_{state.t}"), run_dir / "held_out.ctns"
+        save_ctns(generate(eval_descriptor(desc_x, cfg)).examples[0], held_out)
+        commands = {
+            "eval": ["--checkpoint", ckpt],
+            "translate": ["--checkpoint", ckpt, "--input", str(held_out), "--direction", "x2y", "--out", str(run_dir / "translated")],
+        }
+        for command, args in commands.items():
+            if main([command, *args]) != 0:
+                raise RuntimeError(f"coopforge {command} failed on {name}")
 
 
 def _digest(path: Path) -> str:

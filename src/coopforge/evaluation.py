@@ -43,15 +43,13 @@ def translate_sequence(batch: np.ndarray, g: Net, p: EnergyModel, cfg: LangevinC
     """Translate a batch, then revise it by Langevin dynamics.
 
     An (n, d) point batch or (n, C, H, W) frames (a sequence's T frames) in,
-    the same shape out; steps = 0 returns the pure translator output.
+    the same shape out; steps = 0 returns the pure translator output. A
+    non-finite translation raises ``LangevinDiverged`` at any step count.
     """
     arr = np.asarray(batch)
     if arr.ndim not in (2, 4) or arr.shape[0] == 0:
         raise ShapeError(f"expected a non-empty (n, d) point batch or (n, C, H, W) frames, got shape {arr.shape}")
-    moved = run_translator(g, arr)
-    if cfg.steps == 0:
-        return moved
-    return revise(moved, p, cfg)
+    return revise(run_translator(g, arr), p, cfg)
 
 
 def eval_descriptor(desc: DomainDescriptor, cfg) -> DomainDescriptor:

@@ -51,10 +51,9 @@ def energy_grad(model: EnergyModel, x: np.ndarray) -> np.ndarray:
 
 
 def _check_state(x: np.ndarray, step: int) -> None:
-    finite = np.isfinite(x)
-    if not finite.all():
+    peak = float(np.abs(x).max())  # NaN and inf propagate through max
+    if not np.isfinite(peak):
         raise LangevinDiverged(f"non-finite state at step {step}")
-    peak = float(np.abs(x).max()) if x.size else 0.0
     if peak > _DIVERGENCE_LIMIT:
         raise LangevinDiverged(f"state magnitude {peak:.3e} exceeds {_DIVERGENCE_LIMIT:.0e} at step {step}")
 

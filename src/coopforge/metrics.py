@@ -19,7 +19,6 @@ __all__ = [
     "ModeCoverage",
     "cycle_error",
     "default_feature_map",
-    "dipd_proxy",
     "frechet_distance",
     "mode_coverage",
     "psnr",
@@ -27,23 +26,20 @@ __all__ = [
 
 _RIDGE = 1e-6
 _PSNR_CAP_DB = 100.0
-_KINDS = ("identity", "projection", "avgpool")
+_KINDS = ("identity", "projection")
 
 
 @dataclass(frozen=True)
 class FeatureMap:
     """Deterministic map from raw samples to flat feature vectors.
 
-    kind "identity" flattens samples as-is, "projection" applies a fixed
-    seeded Gaussian projection down to `dim` features, and "avgpool"
-    averages non-overlapping `patch` x `patch` blocks of image batches.
-    Comparisons are only meaningful when both sides go through the same
-    map instance.
+    kind "identity" flattens samples as-is, and "projection" applies a
+    fixed seeded Gaussian projection down to `dim` features. Comparisons
+    are only meaningful when both sides go through the same map instance.
     """
 
     kind: str
     dim: int = 0
-    patch: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -51,23 +47,12 @@ class FeatureMap:
             raise ValueError(f"unknown feature map kind {self.kind!r}")
         if self.kind == "projection" and self.dim < 1:
             raise ValueError("projection feature map needs dim >= 1")
-        if self.kind == "avgpool" and self.patch < 1:
-            raise ValueError("avgpool feature map needs patch >= 1")
 
     def apply(self, samples) -> np.ndarray:
         """Map a batch (n, ...) to float64 features (n, d)."""
         arr = np.asarray(samples, dtype=np.float64)
         if arr.ndim < 2 or arr.shape[0] == 0:
             raise ValueError(f"expected a non-empty sample batch, got shape {arr.shape}")
-        if self.kind == "avgpool":
-            if arr.ndim != 4:
-                raise ValueError(f"avgpool expects (n, c, h, w) batches, got {arr.shape}")
-            n, c, h, w = arr.shape
-            p = self.patch
-            if h % p or w % p:
-                raise ValueError(f"image {h}x{w} is not divisible by patch {p}")
-            pooled = arr.reshape(n, c, h // p, p, w // p, p).mean(axis=(3, 5))
-            return pooled.reshape(n, -1)
         flat = arr.reshape(arr.shape[0], -1)
         if self.kind == "identity":
             return flat
@@ -130,25 +115,6 @@ def psnr(a, b, peak: float) -> float:
     if mse == 0.0:
         return _PSNR_CAP_DB
     return float(10.0 * np.log10(peak * peak / mse))
-
-
-def dipd_proxy(source, translated, fm: FeatureMap) -> float:
-    """L2 distance between unit-normalized features of one sample pair.
-
-    A stand-in for learned perceptual distances: no pretrained network is
-    involved, so values are comparable only under the same feature map.
-    """
-    x = np.asarray(source, dtype=np.float64)
-    y = np.asarray(translated, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    units = []
-    for f in (fm.apply(x[None])[0], fm.apply(y[None])[0]):
-        norm = float(np.linalg.norm(f))
-        if norm == 0.0:
-            raise ValueError("zero-norm feature; normalized distance is undefined")
-        units.append(f / norm)
-    return float(np.linalg.norm(units[0] - units[1]))
 
 
 @dataclass(frozen=True, eq=False)

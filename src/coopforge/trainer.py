@@ -8,8 +8,10 @@ mode) on the mode's objective, which reads the recorded translations
 instead of translating again. Energy updates always precede translator
 updates, and every gradient inside a phase is taken at the phase-start
 parameters. A mode supplies only its batches, its objective
-(``image_objective`` or ``sequence_objective``) and the optimizer groups
-that objective trains; a failed phase rolls the whole iteration back.
+(``image_objective`` or ``sequence_objective``) and the names of the
+networks that objective trains; a failed phase rolls the whole iteration
+back. Optimizer slots and checkpoint trees are keyed by the names of
+``TrainState.nets()``.
 
 Everything the loop consumes is keyed by (seed, iteration) through
 counter-based streams, so a checkpoint needs to store only plain integers
@@ -60,19 +62,15 @@ METRICS_HEADER = "iter,fd_x,fd_y,cycle_err,energy_init,energy_revised,teach_loss
 class TrainConfig:
     """Inputs of the training loop.
 
-    ``lr_alpha_x`` is the rate of the translator producing domain X
-    (the Y-to-X map), mirroring how ``lr_theta_x`` is the rate of the
-    energy model over X. ``weights.lambda_cyc`` always weighs the cycle
-    term on points and images; on sequences only if ``sequence_cycle`` is set.
+    ``lr`` is the Adam rate of every network. ``weights.lambda_cyc``
+    always weighs the cycle term on points and images; on sequences only
+    if ``sequence_cycle`` is set.
     """
 
     iterations: int
     langevin: LangevinConfig = LangevinConfig(steps=15, step_size=0.02)
     batch: int = 1
-    lr_theta_x: float = 2e-4
-    lr_theta_y: float = 2e-4
-    lr_alpha_x: float = 2e-4
-    lr_alpha_y: float = 2e-4
+    lr: float = 2e-4
     weights: LossWeights = LossWeights()
     k: int = 2
     seed: int = 0
@@ -87,7 +85,7 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        for name in ("lr_theta_x", "lr_theta_y", "lr_alpha_x", "lr_alpha_y", "reference_scale"):
+        for name in ("lr", "reference_scale"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -123,17 +121,8 @@ class TrainState:
     last: dict = field(default_factory=dict)
 
     def groups(self) -> dict[str, dict[str, Tensor]]:
-        """Optimizer groups; alpha_x is the Y-to-X translator's set."""
-        out = {
-            "theta_x": self.ebm_x.params,
-            "theta_y": self.ebm_y.params,
-            "alpha_x": self.g_yx.params,
-            "alpha_y": self.g_xy.params,
-        }
-        if self.r_x is not None:
-            out["rho_x"] = self.r_x.params
-            out["rho_y"] = self.r_y.params
-        return out
+        """Each network's parameters, keyed like ``nets()`` and ``opt``."""
+        return {name: net.params for name, net in self.nets().items()}
 
     def nets(self) -> dict[str, Net]:
         out = {"ebm_x": self.ebm_x.scorer, "ebm_y": self.ebm_y.scorer, "g_xy": self.g_xy, "g_yx": self.g_yx}
@@ -144,7 +133,9 @@ class TrainState:
 
 
 class TrainPhaseError(RuntimeError):
-    """An iteration failed; state was rolled back. ``phase`` names the step."""
+    """An iteration failed; state was rolled back. ``phase`` names the step:
+    ``langevin_x``/``langevin_y`` (revision), ``ebm_x``/``ebm_y`` (an energy
+    update) or ``objective`` (the descent step)."""
 
     def __init__(self, phase: str, detail: str):
         super().__init__(f"[{phase}] {detail}")
@@ -193,16 +184,16 @@ def _init_slots(params: dict[str, Tensor]) -> AdamSlots:
     )
 
 
-def _apply_adam(state: TrainState, group: str, grads: dict[str, np.ndarray], rate: float, phase: str) -> None:
-    """One Adam step of an optimizer group; a non-finite result fails ``phase``."""
-    slots = state.opt[group]
+def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate: float, phase: str) -> None:
+    """One Adam step of the network ``net``; a non-finite result fails ``phase``."""
+    slots = state.opt[net]
     slots.count += 1
-    for name, p in state.groups()[group].items():
+    for name, p in state.groups()[net].items():
         p.data, (slots.m[name], slots.v[name]) = adam_step(
             p.data, grads[name], (slots.m[name], slots.v[name]), rate, slots.count
         )
         if not np.isfinite(p.data).all():
-            raise TrainPhaseError(phase, f"non-finite parameter {group}.{name} after update")
+            raise TrainPhaseError(phase, f"non-finite parameter {net}.{name} after update")
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +253,13 @@ def _revise_or_abort(x0: np.ndarray, model: EnergyModel, cfg: TrainConfig, offse
         raise TrainPhaseError(phase, str(err)) from err
 
 
-def _ebm_update(state: TrainState, model: EnergyModel, group: str, data: np.ndarray, synth: np.ndarray, rate: float) -> None:
-    grads = ebm_grad(model, data, synth)
+def _ebm_update(state: TrainState, net: str, data: np.ndarray, synth: np.ndarray, rate: float) -> None:
+    grads = ebm_grad(getattr(state, net), data, synth)
     for name, g in grads.items():
         if not np.isfinite(g).all():
-            raise TrainPhaseError(group, f"non-finite energy gradient for {name}")
+            raise TrainPhaseError(net, f"non-finite energy gradient for {name}")
     # ascent on the estimator: Adam descends, so feed the negation
-    _apply_adam(state, group, {k: -g for k, g in grads.items()}, rate, group)
+    _apply_adam(state, net, {k: -g for k, g in grads.items()}, rate, net)
 
 
 def _iteration_stats(state: TrainState, x_hat, x_tilde, y_hat, y_tilde) -> None:
@@ -286,8 +277,8 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
     are recorded once on the iteration's tape; the energy phases never
     change translator parameters, so ``objective(x_moved, y_moved,
     x_tilde, y_tilde)`` builds the loss on that same tape, reopened.
-    ``descend`` maps the optimizer groups it trains to their rates. A
-    failed phase restores the starting parameters and moments.
+    ``descend`` names the networks it trains. A failed phase restores the
+    starting parameters and moments.
     """
     t = state.t
     snap = _snapshot(state)
@@ -302,18 +293,17 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
         x_tilde = _revise_or_abort(x_hat, state.ebm_x, cfg, 2 * t * n, "langevin_x")
         y_tilde = _revise_or_abort(y_hat, state.ebm_y, cfg, (2 * t + 1) * n, "langevin_y")
 
-        _ebm_update(state, state.ebm_x, "theta_x", x_data, x_tilde, cfg.lr_theta_x)
-        _ebm_update(state, state.ebm_y, "theta_y", y_data, y_tilde, cfg.lr_theta_y)
+        _ebm_update(state, "ebm_x", x_data, x_tilde, cfg.lr)
+        _ebm_update(state, "ebm_y", y_data, y_tilde, cfg.lr)
 
         with graph:
             loss = objective(x_moved, y_moved, x_tilde, y_tilde)
         if not np.isfinite(loss.data):
-            raise TrainPhaseError("alpha", f"non-finite translator loss {loss.data!r}")
+            raise TrainPhaseError("objective", f"non-finite translator loss {loss.data!r}")
         groups = state.groups()
-        wrt = {(group, k): p for group in descend for k, p in groups[group].items()}
-        grads = backward(graph, loss, wrt)
-        for group, rate in descend.items():
-            _apply_adam(state, group, {k: grads[group, k] for k in groups[group]}, rate, "alpha")
+        grads = backward(graph, loss, {(net, k): p for net in descend for k, p in groups[net].items()})
+        for net in descend:
+            _apply_adam(state, net, {k: grads[net, k] for k in groups[net]}, cfg.lr, "objective")
     except TrainPhaseError:
         _rollback(state, snap)
         raise
@@ -338,7 +328,7 @@ def train_iteration(state: TrainState, data_x: np.ndarray, data_y: np.ndarray, c
     def objective(x_moved, y_moved, x_tilde, y_tilde):
         return image_objective(state.g_xy, state.g_yx, x_batch, y_batch, x_moved, y_moved, x_tilde, y_tilde, cfg.weights)
 
-    return _run_phases(state, cfg, x_batch, y_batch, objective, {"alpha_x": cfg.lr_alpha_x, "alpha_y": cfg.lr_alpha_y})
+    return _run_phases(state, cfg, x_batch, y_batch, objective, ("g_xy", "g_yx"))
 
 
 def _sample_clips(seqs: np.ndarray, gen, count: int, k: int) -> np.ndarray:
@@ -370,8 +360,7 @@ def train_sequence_iteration(state: TrainState, seq_x: np.ndarray, seq_y: np.nda
             state.g_xy, state.g_yx, state.r_x, state.r_y, x_clips, y_clips, x_moved, y_moved, x_tilde, y_tilde, weights
         )
 
-    descend = {"alpha_x": cfg.lr_alpha_x, "alpha_y": cfg.lr_alpha_y, "rho_x": cfg.lr_alpha_x, "rho_y": cfg.lr_alpha_y}
-    return _run_phases(state, cfg, clip_frames(x_clips), clip_frames(y_clips), objective, descend)
+    return _run_phases(state, cfg, clip_frames(x_clips), clip_frames(y_clips), objective, ("g_xy", "g_yx", "r_x", "r_y"))
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +369,27 @@ def train_sequence_iteration(state: TrainState, seq_x: np.ndarray, seq_y: np.nda
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescriptor, desc_y: DomainDescriptor, out_dir) -> Path:
-    """Write ckpt_{t}/: manifest, one tensor file per parameter and moment.
+    """Write ckpt_{t}/: manifest.json, nets/<net>/<param>.ctns and
+    adam/<net>/<param>.{m,v}.ctns, with <net> a ``nets()`` name.
 
-    The manifest's seed and iteration integers are the complete sampling
-    state: every stream the loop touches is a pure function of them.
+    The manifest's iteration and the seeds in its config are the complete
+    sampling state: every stream the loop touches is a pure function of them.
     """
     root = Path(out_dir) / f"ckpt_{state.t}"
-    root.mkdir(parents=True, exist_ok=True)
-    for net_name, net in state.nets().items():
-        d = root / "nets" / net_name
-        d.mkdir(parents=True, exist_ok=True)
+    for name, net in state.nets().items():
+        slots, nets_dir, adam_dir = state.opt[name], root / "nets" / name, root / "adam" / name
+        nets_dir.mkdir(parents=True, exist_ok=True)
+        adam_dir.mkdir(parents=True, exist_ok=True)
         for k, p in net.params.items():
-            save_ctns(p.data, d / f"{k}.ctns")
-    for group, slots in state.opt.items():
-        d = root / "adam" / group
-        d.mkdir(parents=True, exist_ok=True)
-        for k in slots.m:
-            save_ctns(slots.m[k], d / f"{k}.m.ctns")
-            save_ctns(slots.v[k], d / f"{k}.v.ctns")
+            save_ctns(p.data, nets_dir / f"{k}.ctns")
+            save_ctns(slots.m[k], adam_dir / f"{k}.m.ctns")
+            save_ctns(slots.v[k], adam_dir / f"{k}.v.ctns")
     manifest = {
         "iteration": state.t,
         "config": asdict(cfg),
         "domain_x": descriptor_line(desc_x),
         "domain_y": descriptor_line(desc_y),
-        "rng": {"seed": cfg.seed, "langevin_seed": cfg.langevin.seed, "iteration": state.t},
-        "adam_counts": {g: s.count for g, s in state.opt.items()},
+        "adam_counts": {name: s.count for name, s in state.opt.items()},
         "params": {n: sorted(net.params) for n, net in state.nets().items()},
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
@@ -418,6 +403,8 @@ def config_from_dict(cls, d: dict):
     """Inverse of ``asdict``: a ``cls`` instance from a nested dict. A field
     whose type hint is a dataclass is built from its own sub-dict."""
     hints = _field_types(cls)
+    if unknown := d.keys() - hints.keys():
+        raise ValueError(f"{cls.__name__} has no fields {sorted(unknown)}")
     return cls(**{k: config_from_dict(hints[k], v) if is_dataclass(hints[k]) else v for k, v in d.items()})
 
 
@@ -430,16 +417,16 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, Do
     desc_y = parse_descriptor(manifest["domain_y"])
     # three examples per domain fix the networks' shapes; the data is not needed
     state = init_state(cfg, generate(with_count(desc_x, 3)), generate(with_count(desc_y, 3)))
-    for net_name, net in state.nets().items():
-        stored = set(manifest["params"][net_name])
+    for name, net in state.nets().items():
+        stored = set(manifest["params"][name])
         if stored != set(net.params):
-            raise KeyError(f"{net_name}: checkpoint parameters {sorted(stored)} do not match")
-        net.load_state({k: load_ctns(root / "nets" / net_name / f"{k}.ctns").data for k in net.params})
-    for group, slots in state.opt.items():
-        slots.count = manifest["adam_counts"][group]
-        for k in slots.m:
-            slots.m[k] = load_ctns(root / "adam" / group / f"{k}.m.ctns").data
-            slots.v[k] = load_ctns(root / "adam" / group / f"{k}.v.ctns").data
+            raise KeyError(f"{name}: checkpoint parameters {sorted(stored)} do not match")
+        slots, nets_dir, adam_dir = state.opt[name], root / "nets" / name, root / "adam" / name
+        slots.count = manifest["adam_counts"][name]
+        net.load_state({k: load_ctns(nets_dir / f"{k}.ctns").data for k in net.params})
+        for k in net.params:
+            slots.m[k] = load_ctns(adam_dir / f"{k}.m.ctns").data
+            slots.v[k] = load_ctns(adam_dir / f"{k}.v.ctns").data
     state.t = manifest["iteration"]
     return state, cfg, desc_x, desc_y
 

@@ -47,7 +47,7 @@ def test_defaults_follow_training_recipe():
     assert cfg.langevin.steps == 15
     assert cfg.langevin.step_size == 0.02
     assert cfg.langevin.noise_scale == 1.0
-    assert (cfg.lr_theta_x, cfg.lr_theta_y, cfg.lr_alpha_x, cfg.lr_alpha_y) == (2e-4,) * 4
+    assert cfg.lr == 2e-4
     assert cfg.batch == 1
     assert (cfg.weights.lambda_cyc, cfg.weights.lambda1, cfg.weights.lambda2) == (9.0, 9.0, 9.0)
     assert cfg.k == 2
@@ -148,7 +148,7 @@ def test_every_schedule_field_has_one_key_and_one_flag():
     leaves = dict(_leaf_fields(base))
     schedule = [path for path in leaves if path != ("langevin", "seed")]
     assert train_flags == {_key_for(path) for path in schedule} | {"domain_x", "domain_y", "out"}
-    assert len(train_flags) == 22
+    assert len(train_flags) == 19
     for path in schedule:
         key, value = _key_for(path), str(_other(leaves[path]))
         body = MINIMAL.replace("iterations = 5\n", "") if key == "iterations" else MINIMAL
@@ -358,6 +358,24 @@ def test_translate_empty_batch_fails_at_any_step_count(ring_run, tmp_path, capsy
         assert rc == 1
         assert "non-empty" in capsys.readouterr().err
         assert not (tmp_path / steps / "empty.ctns").exists()
+
+
+def test_translate_zero_steps_rejects_non_finite_output(tmp_path, capsys):
+    dx, dy = parse_descriptor(RING_X_LINE), parse_descriptor(RING_Y_LINE)
+    cfg = TrainConfig(iterations=1, eval_samples=20)
+    state = init_state(cfg, generate(dx), generate(dy))
+    weight = next(iter(state.g_xy.params.values()))
+    weight.data = np.full_like(weight.data, np.nan)
+    save_checkpoint(state, cfg, dx, dy, tmp_path)
+    src = tmp_path / "input.ctns"
+    save_ctns(generate(dx).examples[:4], src)
+    rc = main(
+        ["translate", "--checkpoint", str(tmp_path / "ckpt_0"), "--input", str(src),
+         "--direction", "x2y", "--langevin-steps", "0", "--out", str(tmp_path / "moved")]
+    )
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "moved" / "input.ctns").exists()
 
 
 def test_translate_frame_directory(dot_run, tmp_path):

@@ -12,7 +12,6 @@ from coopforge.metrics import (
     FeatureMap,
     cycle_error,
     default_feature_map,
-    dipd_proxy,
     frechet_distance,
     mode_coverage,
     psnr,
@@ -63,28 +62,11 @@ def test_projection_is_linear():
     np.testing.assert_allclose(fm.apply(a + b), fm.apply(a) + fm.apply(b), rtol=1e-12, atol=1e-12)
 
 
-def test_avgpool_block_means():
-    img = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-    feats = FeatureMap("avgpool", patch=2).apply(img)
-    # top-left block {0,1,4,5} -> 2.5, and so on
-    np.testing.assert_array_equal(feats, [[2.5, 4.5, 10.5, 12.5]])
-
-
-def test_avgpool_validation():
-    fm = FeatureMap("avgpool", patch=3)
-    with pytest.raises(ValueError):
-        fm.apply(np.zeros((2, 1, 4, 4)))  # 4 not divisible by 3
-    with pytest.raises(ValueError):
-        fm.apply(np.zeros((2, 16)))  # not an image batch
-
-
 def test_feature_map_validation():
     with pytest.raises(ValueError):
         FeatureMap("vgg")
     with pytest.raises(ValueError):
         FeatureMap("projection", dim=0)
-    with pytest.raises(ValueError):
-        FeatureMap("avgpool", patch=0)
     with pytest.raises(ValueError):
         FeatureMap("identity").apply(np.zeros((0, 3)))
 
@@ -197,38 +179,6 @@ def test_psnr_validation():
         psnr(np.zeros(3), np.ones(3), peak=0.0)
     with pytest.raises(ValueError, match="empty"):
         psnr(np.zeros(0), np.zeros(0), peak=1.0)
-
-
-# ---------------------------------------------------------------- DIPD proxy
-
-
-def test_dipd_identical_is_zero():
-    x = np.random.default_rng(1).random((1, 4, 4))
-    assert dipd_proxy(x, x.copy(), FeatureMap("identity")) == 0.0
-
-
-def test_dipd_orthogonal_units():
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([0.0, 2.0, 0.0])  # normalizes to e2
-    assert math.isclose(dipd_proxy(a, b, FeatureMap("identity")), math.sqrt(2.0), rel_tol=1e-12)
-
-
-def test_dipd_hand_example():
-    # (0.6, 0.8) is already unit; distance to (1, 0) is sqrt(0.16 + 0.64)
-    got = dipd_proxy(np.array([0.6, 0.8]), np.array([1.0, 0.0]), FeatureMap("identity"))
-    assert math.isclose(got, math.sqrt(0.8), rel_tol=1e-12)
-
-
-def test_dipd_zero_norm_rejected():
-    with pytest.raises(ValueError, match="zero-norm"):
-        dipd_proxy(np.zeros(3), np.ones(3), FeatureMap("identity"))
-    with pytest.raises(ValueError, match="zero-norm"):
-        dipd_proxy(np.ones(3), np.zeros(3), FeatureMap("identity"))
-
-
-def test_dipd_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="shape"):
-        dipd_proxy(np.zeros(3), np.zeros(4), FeatureMap("identity"))
 
 
 # ---------------------------------------------------------------- mode coverage

@@ -1,6 +1,7 @@
 """Trainer checks: optimizer oracles, phase semantics, checkpoint fidelity."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ring_cfg(batch=0)
     with pytest.raises(ValueError):
-        ring_cfg(lr_theta_x=0.0)
+        ring_cfg(lr=0.0)
     with pytest.raises(ValueError):
         ring_cfg(k=0)
     with pytest.raises(ValueError):
@@ -154,9 +155,16 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["lr_theta_x", "lr_theta_y", "lr_alpha_x", "lr_alpha_y", "reference_scale"])
+@pytest.mark.parametrize("name", ["lr", "lr_theta_x", "lr_theta_y", "lr_alpha_x", "lr_alpha_y", "reference_scale"])
 def test_config_rejects_non_finite_rates(name, value):
     # reference_scale = inf would pass a `> 0` test and zero E(x)'s reference term
+    if name.startswith("lr_"):
+        # the four per-network rates of older configs merged into lr: a stored
+        # config still carrying one is refused, and lr itself takes the check
+        stale = {**dataclasses.asdict(ring_cfg()), name: value}
+        with pytest.raises(ValueError, match=rf"TrainConfig has no fields \['{name}'\]"):
+            config_from_dict(TrainConfig, stale)
+        name = "lr"
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         ring_cfg(**{name: value})
 
@@ -164,7 +172,7 @@ def test_config_rejects_non_finite_rates(name, value):
 def test_init_state_points():
     state = init_state(ring_cfg(), generate(RING_X), generate(RING_Y))
     assert state.r_x is None and state.r_y is None
-    assert set(state.opt) == {"theta_x", "theta_y", "alpha_x", "alpha_y"}
+    assert set(state.opt) == {"ebm_x", "ebm_y", "g_xy", "g_yx"}
     for gname, params in state.groups().items():
         slots = state.opt[gname]
         assert slots.count == 0
@@ -178,7 +186,7 @@ def test_init_state_points():
 def test_init_state_sequences_has_predictors():
     state = init_state(dot_cfg(), generate(DOT_X), generate(DOT_Y))
     assert state.r_x is not None and state.r_y is not None
-    assert "rho_x" in state.opt and "rho_y" in state.opt
+    assert "r_x" in state.opt and "r_y" in state.opt
 
 
 def test_init_state_rejects_mismatched_domains():
@@ -265,7 +273,7 @@ def test_divergence_rolls_back_and_tags_phase():
 )
 def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step, objective, pair, make_cfg):
     # the loss check comes after both energy models were updated, so the
-    # rollback must also undo theta_x/theta_y and their moments
+    # rollback must also undo ebm_x/ebm_y and their moments
     cfg = make_cfg()
     dsx, dsy = generate(pair[0]), generate(pair[1])
     state = init_state(cfg, dsx, dsy)
@@ -280,7 +288,7 @@ def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step,
     monkeypatch.setattr(trainer, objective, nan_objective)
     with pytest.raises(TrainPhaseError) as err:
         step(state, dsx.examples, dsy.examples, cfg)
-    assert err.value.phase == "alpha"
+    assert err.value.phase == "objective"
     for net in ("ebm_x", "ebm_y"):
         assert any(not np.array_equal(seen[k], params[k]) for k in params if k.startswith(net + "."))
     after = all_params(state)
@@ -344,10 +352,10 @@ def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2, 
             twin.g_xy, twin.g_yx, twin.r_x, twin.r_y, x_clips, y_clips, x_moved, y_moved, x_tilde, y_tilde, replayed
         )
     groups = twin.groups()
-    rates = (("alpha_x", cfg.lr_alpha_x), ("alpha_y", cfg.lr_alpha_y), ("rho_x", cfg.lr_alpha_x), ("rho_y", cfg.lr_alpha_y))
-    grads = backward(graph, loss, {(group, k): p for group, _ in rates for k, p in groups[group].items()})
-    for group, rate in rates:
-        _apply_adam(twin, group, {k: grads[group, k] for k in groups[group]}, rate, "alpha")
+    descend = ("g_xy", "g_yx", "r_x", "r_y")
+    grads = backward(graph, loss, {(net, k): p for net in descend for k, p in groups[net].items()})
+    for net in descend:
+        _apply_adam(twin, net, {k: grads[net, k] for k in groups[net]}, cfg.lr, "objective")
 
     for name in ("g_xy", "g_yx", "r_x", "r_y"):
         for k, p in getattr(state, name).params.items():
@@ -483,6 +491,18 @@ def test_checkpoint_round_trip(tmp_path):
         for k in slots.m:
             np.testing.assert_array_equal(loaded.opt[g].m[k], slots.m[k])
             np.testing.assert_array_equal(loaded.opt[g].v[k], slots.v[k])
+
+
+@pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["points", "sequences"])
+def test_every_record_is_keyed_by_net_name(tmp_path, pair, make_cfg):
+    cfg = make_cfg()
+    state = init_state(cfg, generate(pair[0]), generate(pair[1]))
+    root = save_checkpoint(state, cfg, *pair, tmp_path)
+    manifest = json.loads((root / "manifest.json").read_text())
+    names = set(state.nets())
+    assert set(state.groups()) == set(state.opt) == names
+    assert {d.name for d in (root / "nets").iterdir()} == {d.name for d in (root / "adam").iterdir()} == names
+    assert set(manifest["params"]) == set(manifest["adam_counts"]) == names
 
 
 def test_config_from_dict_inverts_asdict():
