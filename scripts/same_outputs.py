@@ -11,9 +11,10 @@ checkout's ``perfbench/recipes.py`` at seed 5:
 - dot_no_cycle: the same dot run with ``sequence_cycle=False``;
 - shapes: a 4-iteration run on the shapes pair at the dot recipe's sampler.
 
-``coopforge eval`` then runs on each final checkpoint, and ``coopforge
+``coopforge eval`` then runs on each final checkpoint, ``coopforge
 translate --direction x2y`` with the checkpoint's own sampler on the first
-held-out X example, written with ``save_ctns``. Every file a side wrote is
+held-out X example, written with ``save_ctns``, and ``coopforge sample
+--domain y --count 8`` with the default sampler. Every file a side wrote is
 hashed, ``metrics.csv`` with its ``seconds`` column dropped. The script
 prints the files that differ and exits 1 if any do.
 """
@@ -32,8 +33,8 @@ SIDES = ("parent", "change")
 
 
 def run_side(out: str) -> None:
-    """Train every run under ``out``, then eval its final checkpoint and
-    translate one held-out example with it.
+    """Train every run under ``out``, then eval its final checkpoint,
+    translate one held-out example with it and sample from its Y model.
 
     Called in a side's subprocess after ``import coopforge``, so the BLAS
     thread cap is in place before numpy loads.
@@ -64,6 +65,7 @@ def run_side(out: str) -> None:
         commands = {
             "eval": ["--checkpoint", ckpt],
             "translate": ["--checkpoint", ckpt, "--input", str(held_out), "--direction", "x2y", "--out", str(run_dir / "translated")],
+            "sample": ["--checkpoint", ckpt, "--domain", "y", "--count", "8", "--out", str(run_dir / "sampled")],
         }
         for command, args in commands.items():
             if main([command, *args]) != 0:

@@ -187,6 +187,14 @@ def _given(args: argparse.Namespace, names) -> dict:
 _SAMPLER_FLAGS = [f.name for f in fields(LangevinConfig)]  # the dests of translate's and sample's sampler flags
 
 
+def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
+    """A flag per sampler config key (every sampler field but the seed), spelled like the key."""
+    for key, (path, convert, _) in _CONFIG_KEYS.items():
+        if path[:2] == ("train", "langevin"):
+            doc = f"Langevin {path[-1]} (default: the checkpoint's)"
+            p.add_argument("--" + key.replace("_", "-"), dest=path[-1], type=convert, default=None, help=doc)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -328,10 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help=".ctns/.ppm file, or a directory of frames")
     p.add_argument("--direction", required=True, choices=("x2y", "y2x"))
-    p.add_argument("--langevin-steps", dest="steps", type=int, default=None, help="revision steps (0 = raw translator output)")
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--noise-scale", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="revision noise seed")
+    _add_sampler_flags(p)
+    p.add_argument("--seed", type=int, default=None, help="revision noise seed (default: the checkpoint's)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_translate)
 
@@ -344,10 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--domain", required=True, choices=("x", "y"))
     p.add_argument("--count", type=int, default=64)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--noise-scale", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampler_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the starting draws and the chain noise")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

@@ -356,10 +356,10 @@ class ImageTranslator(Net):
 class TemporalPredictor(Net):
     """Predicts the next frame from the k previous ones.
 
-    ``forward(context, last)`` takes the k past frames stacked along
-    channels, (n, k*C, H, W), plus the most recent frame (n, C, H, W), and
-    returns last + correction(context). The correction's output conv starts
-    at zero, so the initial prediction is a frame hold.
+    ``forward(past)`` takes each clip's k past frames, (n, k, C, H, W), and
+    returns the last of them plus a correction of their (n, k*C, H, W)
+    channel stack. The correction's output conv starts at zero, so the
+    initial prediction is a frame hold.
     """
 
     def __init__(self, in_shape: tuple = (1, 16, 16), k: int = 2, base: int = 16, seed: int = 0, name: str = "pred", dtype=np.float32):
@@ -374,12 +374,14 @@ class TemporalPredictor(Net):
         self._zeros("conv2.w", (c, base, 3, 3))
         self._zeros("conv2.b", (c,))
 
-    def forward(self, context: Tensor, last: Tensor) -> Tensor:
+    def forward(self, past: Tensor) -> Tensor:
         p = self.params
-        if context.shape[1] != self.k * self.in_shape[0]:
-            raise T.ShapeError(
-                f"{self.name}: context has {context.shape[1]} channels, expected {self.k * self.in_shape[0]}"
-            )
+        k, c = self.k, self.in_shape[0]
+        if past.ndim != 5 or past.shape[1:3] != (k, c):
+            raise T.ShapeError(f"{self.name}: past frames must be (n, {k}, {c}, H, W), got shape {past.shape}")
+        context = past.reshape((past.shape[0], k * c) + past.shape[3:])
+        # narrowed ahead of the convolutions: tape order fixes the order of gradient sums
+        last = T.narrow(context, 1, (k - 1) * c, c)
         h = T.leaky_relu(T.conv2d(context, p["conv0.w"], p["conv0.b"], stride=1, pad=1), 0.2)
         h = T.leaky_relu(T.conv2d(h, p["conv1.w"], p["conv1.b"], stride=1, pad=1), 0.2)
         delta = T.conv2d(h, p["conv2.w"], p["conv2.b"], stride=1, pad=1)

@@ -131,8 +131,8 @@ def image_objective(
     return loss
 
 
-def _split_clips(clips, k: int) -> tuple[list[Tensor], Tensor]:
-    """Validate clip length k+1 and return per-step constant frames."""
+def _split_clips(clips, k: int) -> tuple[np.ndarray, Tensor]:
+    """Validate (n, k+1, C, H, W) clips; return them and their future frames."""
     arr = np.asarray(clips.data if isinstance(clips, Tensor) else clips)
     if arr.ndim != 5:
         raise T.ShapeError(f"clips must be (n, k+1, C, H, W), got shape {arr.shape}")
@@ -140,9 +140,7 @@ def _split_clips(clips, k: int) -> tuple[list[Tensor], Tensor]:
         raise ValueError("clip batch must be non-empty")
     if arr.shape[1] != k + 1:
         raise ValueError(f"clips of length {arr.shape[1]} incompatible with k = {k} (need k+1)")
-    past = [Tensor(np.ascontiguousarray(arr[:, t])) for t in range(k)]
-    future = Tensor(np.ascontiguousarray(arr[:, k]))
-    return past, future
+    return arr, Tensor(np.ascontiguousarray(arr[:, k]))
 
 
 def clip_frames(clips) -> np.ndarray:
@@ -155,9 +153,8 @@ def clip_frames(clips) -> np.ndarray:
 def temporal_loss(r: TemporalPredictor, clips) -> Tensor:
     """Next-frame prediction error: mean over clips of
     ||x_{t+k} - R(x_t, ..., x_{t+k-1})||_1."""
-    past, future = _split_clips(clips, r.k)
-    context = T.concat(past, axis=1)
-    pred = r.forward(context, past[-1])
+    clips, future = _split_clips(clips, r.k)
+    pred = r.forward(Tensor(clips[:, : r.k]))
     n = future.shape[0]
     return T.sub(future, pred).l1_norm() * (1.0 / n)
 
@@ -179,10 +176,7 @@ def spatiotemporal_loss(moved, r_other: TemporalPredictor, g_back: Net, clips) -
         raise T.ShapeError(
             f"spatiotemporal_loss: need {n * (k + 1)} translated frames of {frame}, got {moved.shape}"
         )
-    # clip-major frames: each clip's k past frames stacked along channels
-    context = T.narrow(moved.reshape((n, k + 1) + frame), 1, 0, k).reshape((n, k * frame[0]) + frame[1:])
-    last = T.narrow(context, 1, (k - 1) * frame[0], frame[0])
-    pred_back = g_back.forward(r_other.forward(context, last))
+    pred_back = g_back.forward(r_other.forward(T.narrow(moved.reshape((n, k + 1) + frame), 1, 0, k)))
     return T.sub(future, pred_back).l1_norm() * (1.0 / n)
 
 

@@ -5,10 +5,10 @@ Ops record onto the innermost active ``Graph`` (a tape) whenever any input
 requires a gradient; with no active graph everything runs in eval mode.
 
 Convolutions take and return NCHW arrays but run a channels-last im2col:
-one copy per call into columns ordered (kh, kw, C). The input gradient of
-``conv2d`` is gathered, as a full correlation of the stride-dilated output
-gradient with the flipped kernel, when the layer has fewer output than
-input channels (F < C); otherwise it is scattered back through col2im.
+one copy per call into columns ordered (kh, kw, C). One adjoint kernel is
+both ``conv2d``'s input gradient and ``conv2d_transpose``'s forward: it
+gathers when the convolution it is the adjoint of narrows the channels
+(F < C), and scatters through col2im otherwise.
 """
 
 from __future__ import annotations
@@ -455,7 +455,9 @@ def _nchw(a: np.ndarray) -> np.ndarray:
 
 
 def _pad(a: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of an NHWC array by ``pad`` on each side."""
+    """Zero-pad the two spatial axes of an NHWC array by ``pad`` on each side (``a`` itself at 0)."""
+    if not pad:
+        return a
     n, h, w, c = a.shape
     out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=a.dtype)
     out[:, pad : pad + h, pad : pad + w] = a
@@ -480,6 +482,27 @@ def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int, ho: i
     return img
 
 
+def _conv_adjoint(g: np.ndarray, wmat: np.ndarray, h: int, wd: int, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Adjoint in x of correlating an NHWC x of spatial size (h, wd) with the (F, kh*kw*C)
+    kernel ``wmat``: maps the (N, Ho, Wo, F) NHWC array ``g`` to (N, h, wd, C). With F < C
+    (and pad below the kernel size) it gathers, a full correlation of the stride-dilated g
+    with the flipped kernel in one GEMM over kh*kw*F columns instead of kh*kw scatter-adds of
+    C channels; otherwise it scatters through col2im, since gathering would build the wider
+    columns, and crops the pad margin."""
+    n, ho, wo, f = g.shape
+    c = wmat.shape[1] // (kh * kw)
+    if f < c and pad < min(kh, kw):
+        # kh-1-pad zeros ahead of g; the buffer's extent makes the output h
+        # whatever remainder the stride left behind the last window
+        top, left = kh - 1 - pad, kw - 1 - pad
+        gp = np.zeros((n, h + kh - 1, wd + kw - 1, f), dtype=g.dtype)
+        gp[:, top : top + stride * ho : stride, left : left + stride * wo : stride] = g
+        wflip = wmat.reshape(f, kh, kw, c)[:, ::-1, ::-1].transpose(1, 2, 0, 3).reshape(kh * kw * f, c)
+        return (_im2col(gp, kh, kw, 1)[0] @ wflip).reshape(n, h, wd, c)
+    img = _col2im(g.reshape(n * ho * wo, f) @ wmat, (n, h + 2 * pad, wd + 2 * pad, c), kh, kw, stride, ho, wo)
+    return img[:, pad : pad + h, pad : pad + wd]
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), NCHW layout, square stride/pad.
 
@@ -493,8 +516,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise _shape_err("conv2d", x.shape, w.shape)
     if b is not None and b.shape != (f,):
         raise _shape_err("conv2d(bias)", b.shape, (f,))
-    xp = _pad(_nhwc(x.data), pad) if pad else _nhwc(x.data)
-    cols, ho, wo = _im2col(xp, kh, kw, stride)
+    cols, ho, wo = _im2col(_pad(_nhwc(x.data), pad), kh, kw, stride)
     wmat = _nhwc(w.data).reshape(f, kh * kw * c)
     out_mat = cols @ wmat.T
     if b is not None:
@@ -503,28 +525,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     # gradients nobody reads (data inputs, frozen weights) are never computed
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
-    # dx of a layer with fewer output than input channels is gathered: a full
-    # correlation of the stride-dilated g with the flipped kernel, one GEMM
-    # over kh*kw*F columns instead of kh*kw scatter-adds of C channels. A
-    # widening layer scatters, since gathering would build the wider columns.
-    gather = f < c and pad < min(kh, kw)
 
     def bwd(g):
-        gh = _nhwc(g)
-        gmat = gh.reshape(n * ho * wo, f)
+        gmat = _nhwc(g).reshape(n * ho * wo, f)
         dw = _nchw((gmat.T @ cols).reshape(f, kh, kw, c)) if need_w else None
-        dx = None
-        if need_x and gather:
-            # kh-1-pad zeros ahead of g; the buffer's extent makes the output H
-            # whatever remainder the stride left behind the last window
-            top, left = kh - 1 - pad, kw - 1 - pad
-            gp = np.zeros((n, h + kh - 1, wd + kw - 1, f), dtype=g.dtype)
-            gp[:, top : top + stride * ho : stride, left : left + stride * wo : stride] = gh
-            wflip = wmat.reshape(f, kh, kw, c)[:, ::-1, ::-1].transpose(1, 2, 0, 3).reshape(kh * kw * f, c)
-            dx = _nchw((_im2col(gp, kh, kw, 1)[0] @ wflip).reshape(n, h, wd, c))
-        elif need_x:
-            dxp = _col2im(gmat @ wmat, (n, h + 2 * pad, wd + 2 * pad, c), kh, kw, stride, ho, wo)
-            dx = _nchw(dxp[:, pad : pad + h, pad : pad + wd])
+        dx = _nchw(_conv_adjoint(gmat.reshape(n, ho, wo, f), wmat, h, wd, kh, kw, stride, pad)) if need_x else None
         if b is None:
             return dx, dw
         return dx, dw, (gmat.sum(axis=0) if need_b else None)
@@ -541,7 +546,7 @@ def conv2d_transpose(
     pad: int = 0,
     out_pad: int = 0,
 ) -> Tensor:
-    """Transposed 2-D convolution (adjoint of conv2d), NCHW layout.
+    """Transposed 2-D convolution, NCHW layout: the adjoint in x of ``conv2d`` with kernel ``w``.
 
     x: (N, Cin, H, W); w: (Cin, Cout, kh, kw); output spatial size is
     (H-1)*stride - 2*pad + kh + out_pad.
@@ -558,12 +563,9 @@ def conv2d_transpose(
         raise _shape_err("conv2d_transpose", x.shape, w.shape)
     if b is not None and b.shape != (cout,):
         raise _shape_err("conv2d_transpose(bias)", b.shape, (cout,))
-    # Scatter each input pixel's contribution x[n,i,j,:] @ w into a padded
-    # buffer at (i*stride, j*stride), then crop the pad margin.
     xmat = _nhwc(x.data).reshape(n * h * wd, cin)
     wmat = _nhwc(w.data).reshape(cin, kh * kw * cout)
-    buf = _col2im(xmat @ wmat, (n, ho + 2 * pad, wo + 2 * pad, cout), kh, kw, stride, h, wd)
-    out_arr = buf[:, pad : pad + ho, pad : pad + wo]
+    out_arr = _conv_adjoint(xmat.reshape(n, h, wd, cin), wmat, ho, wo, kh, kw, stride, pad)
     if b is not None:
         out_arr = out_arr + b.data
     out = Tensor(_nchw(out_arr))
@@ -571,8 +573,7 @@ def conv2d_transpose(
     need_b = b is not None and b.requires_grad
 
     def bwd(g):
-        gp = _pad(_nhwc(g), pad) if pad else _nhwc(g)
-        gcols, gh, gw = _im2col(gp, kh, kw, stride)  # (n*h*wd, kh*kw*cout)
+        gcols, gh, gw = _im2col(_pad(_nhwc(g), pad), kh, kw, stride)  # (n*h*wd, kh*kw*cout)
         assert (gh, gw) == (h, wd)
         dx = _nchw((gcols @ wmat.T).reshape(n, h, wd, cin)) if need_x else None
         dw = _nchw((xmat.T @ gcols).reshape(cin, kh, kw, cout)) if need_w else None

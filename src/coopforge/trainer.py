@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 METRICS_HEADER = "iter,fd_x,fd_y,cycle_err,energy_init,energy_revised,teach_loss,seconds"
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,6 @@ def adam_step(
     moments: tuple[np.ndarray, np.ndarray],
     rate: float,
     t: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One bias-corrected Adam update; returns (new param, new moments).
 
@@ -170,11 +168,11 @@ def adam_step(
         )
     if t < 1:
         raise ValueError("Adam step count starts at 1")
-    m = beta1 * m0 + (1.0 - beta1) * grad
-    v = beta2 * v0 + (1.0 - beta2) * (grad * grad)
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return param - rate * m_hat / (np.sqrt(v_hat) + eps), (m, v)
+    m = _BETA1 * m0 + (1.0 - _BETA1) * grad
+    v = _BETA2 * v0 + (1.0 - _BETA2) * (grad * grad)
+    m_hat = m / (1.0 - _BETA1**t)
+    v_hat = v / (1.0 - _BETA2**t)
+    return param - rate * m_hat / (np.sqrt(v_hat) + _EPS), (m, v)
 
 
 def _init_slots(params: dict[str, Tensor]) -> AdamSlots:
@@ -471,9 +469,9 @@ def train(
     # fails now, not at the first eval row, when a held-out set is too small to score
     frechet_distance(eval_x, eval_y, fm)
 
-    # a resumed run keeps the rows up to its checkpoint and rewrites the rest
+    # a resumed run keeps the finished (newline-terminated) rows up to its checkpoint
     metrics_path = out / "metrics.csv"
-    rows = metrics_path.read_text().splitlines()[1:] if resume_from is not None and metrics_path.exists() else []
+    rows = metrics_path.read_text().split("\n")[1:-1] if resume_from is not None and metrics_path.exists() else []
     rows = [row for row in rows if int(row.split(",", 1)[0]) <= state.t]
     # the seconds column continues from the last kept row
     start = time.perf_counter() - (float(rows[-1].rsplit(",", 1)[1]) if rows else 0.0)

@@ -473,7 +473,7 @@ def test_sample_writes_artifacts(ring_run, tmp_path):
     out = tmp_path / "samples"
     rc = main(
         ["sample", "--checkpoint", str(ring_run["ckpt"]), "--domain", "y",
-         "--count", "32", "--steps", "3", "--out", str(out)]
+         "--count", "32", "--langevin-steps", "3", "--out", str(out)]
     )
     assert rc == 0
     samples = load_ctns(out / "samples.ctns").data
@@ -494,13 +494,24 @@ def test_sample_rejects_count_below_one(ring_run, tmp_path, capsys):
 
 
 def test_sample_is_seed_deterministic(ring_run, tmp_path):
-    args = ["sample", "--checkpoint", str(ring_run["ckpt"]), "--domain", "x", "--count", "8", "--steps", "2"]
+    args = ["sample", "--checkpoint", str(ring_run["ckpt"]), "--domain", "x", "--count", "8", "--langevin-steps", "2"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     np.testing.assert_array_equal(
         load_ctns(tmp_path / "a" / "samples.ctns").data,
         load_ctns(tmp_path / "b" / "samples.ctns").data,
     )
+
+
+def test_translate_and_sample_share_sampler_flags():
+    flags = ["--langevin-steps", "4", "--step-size", "0.05", "--noise-scale", "0.5"]
+    parser = build_parser()
+    translate = parser.parse_args(["translate", "--checkpoint", "c", "--input", "i", "--direction", "x2y", "--out", "o", *flags])
+    sample = parser.parse_args(["sample", "--checkpoint", "c", "--domain", "x", "--out", "o", *flags])
+    for ns in (translate, sample):
+        assert (ns.steps, ns.step_size, ns.noise_scale) == (4, 0.05, 0.5)
+    # each command keeps its own seed: the checkpoint's on translate, 0 on sample
+    assert (translate.seed, sample.seed) == (None, 0)
 
 
 # ---------------------------------------------------------------- entry point

@@ -32,10 +32,8 @@ class TestIdentityInit:
 
     def test_temporal_predictor_holds_last_frame(self):
         net = TemporalPredictor(in_shape=(1, 8, 8), k=2, base=4, seed=2, name="r")
-        rng_ = np.random.default_rng(2)
-        ctx = Tensor(rng_.normal(size=(3, 2, 8, 8)).astype(np.float32))
-        last = Tensor(rng_.normal(size=(3, 1, 8, 8)).astype(np.float32))
-        np.testing.assert_array_equal(net.forward(ctx, last).data, last.data)
+        past = Tensor(np.random.default_rng(2).normal(size=(3, 2, 1, 8, 8)).astype(np.float32))
+        np.testing.assert_array_equal(net.forward(past).data, past.data[:, -1])
 
     def test_image_translator_rejects_odd_sizes(self):
         with pytest.raises(T.ShapeError, match="even"):
@@ -225,11 +223,10 @@ class TestGradientsThroughNetworks:
         for p in net.params.values():
             p.data += np.random.default_rng(14).normal(size=p.data.shape) * 0.1
         rng_ = np.random.default_rng(15)
-        ctx = Tensor(rng_.normal(size=(2, 2, 4, 4)))
-        last = Tensor(rng_.normal(size=(2, 1, 4, 4)))
+        past = Tensor(rng_.normal(size=(2, 2, 1, 4, 4)))
         tgt = rng_.normal(size=(2, 1, 4, 4))
         report = grad_check(
-            net.params, lambda: T.sub(net.forward(ctx, last), tgt).square().sum(), step=1e-5
+            net.params, lambda: T.sub(net.forward(past), tgt).square().sum(), step=1e-5
         )
         assert report.max_rel_error < 1e-4, report
 
@@ -265,7 +262,7 @@ class TestFactoriesAndScale:
 
     def test_temporal_predictor_channel_check(self):
         net = TemporalPredictor(in_shape=(1, 8, 8), k=2, seed=0, name="r")
-        bad_ctx = Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32))
-        last = Tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
-        with pytest.raises(T.ShapeError, match="context"):
-            net.forward(bad_ctx, last)
+        # a wrong k, a wrong C, and channel-stacked context instead of frames
+        for shape in ((1, 3, 1, 8, 8), (1, 2, 2, 8, 8), (1, 2, 8, 8)):
+            with pytest.raises(T.ShapeError, match=r"past frames must be \(n, 2, 1, H, W\)"):
+                net.forward(Tensor(np.zeros(shape, dtype=np.float32)))

@@ -251,9 +251,7 @@ class TestTemporalLoss:
         clips = _random_clips(np.random.default_rng(28), n=4, k=2)
         total = 0.0
         for i in range(4):
-            ctx = Tensor(np.concatenate([clips[i, 0], clips[i, 1]])[None])
-            last = Tensor(clips[i, 1][None])
-            pred = r.forward(ctx, last).data[0]
+            pred = r.forward(Tensor(clips[i, :2][None])).data[0]
             total += float(np.abs(clips[i, 2] - pred).sum())
         assert temporal_loss(r, clips).item() == pytest.approx(total / 4, rel=1e-5)
 
@@ -293,8 +291,7 @@ class TestSpatiotemporalLoss:
         total = 0.0
         for i in range(3):
             moved = [g_fwd.forward(Tensor(clips[i, t][None])).data[0] for t in range(2)]
-            ctx = Tensor(np.concatenate(moved)[None])
-            pred = r.forward(ctx, Tensor(moved[1][None]))
+            pred = r.forward(Tensor(np.stack(moved)[None]))
             back = g_back.forward(pred).data[0]
             total += float(np.abs(clips[i, 2] - back).sum())
         got = spatiotemporal_loss(_translate_clips(g_fwd, clips), r, g_back, clips).item()
@@ -420,7 +417,7 @@ def _image_objective_separate_forwards(g_xy, g_yx, x, y, x_targets, y_targets, w
 
 def _spatiotemporal_frame_by_frame(g_fwd, r, g_back, clips) -> float:
     moved = [_eval(g_fwd, clips[:, t]) for t in range(r.k)]  # one forward per past frame
-    pred = r.forward(Tensor(np.concatenate(moved, axis=1)), Tensor(moved[-1])).data
+    pred = r.forward(Tensor(np.stack(moved, axis=1))).data
     return np.abs(clips[:, r.k] - _eval(g_back, pred)).sum() / len(clips)
 
 

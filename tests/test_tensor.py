@@ -269,12 +269,13 @@ class TestConv2dTranspose:
     def test_forward_matches_naive(self, stride, pad, out_pad):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(2, 3, 4, 4))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=2)
-        got = T.conv2d_transpose(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad, out_pad=out_pad)
-        np.testing.assert_allclose(
-            got.data, conv2d_transpose_naive(x, w, b, stride, pad, out_pad), rtol=1e-12
-        )
+        for cout in (2, 5):  # 3 -> 5 channels takes the gather branch
+            w = rng.normal(size=(3, cout, 3, 3))
+            b = rng.normal(size=cout)
+            got = T.conv2d_transpose(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad, out_pad=out_pad)
+            np.testing.assert_allclose(
+                got.data, conv2d_transpose_naive(x, w, b, stride, pad, out_pad), rtol=1e-12, err_msg=f"cout={cout}"
+            )
 
     def test_doubles_spatial_size(self):
         # k3 s2 p1 op1: 8 -> 16, the upsampling configuration used by the
@@ -302,12 +303,13 @@ class TestConv2dTranspose:
         # adjoint, out_pad chosen so shapes align.
         rng = np.random.default_rng(17)
         x = rng.normal(size=(1, 3, 8, 8))
-        w = rng.normal(size=(5, 3, 3, 3))
-        y = rng.normal(size=(1, 5, 4, 4))
-        cx = T.conv2d(Tensor(x), Tensor(w), stride=2, pad=1).data
-        cty = T.conv2d_transpose(Tensor(y), Tensor(w), stride=2, pad=1, out_pad=1).data
-        assert cty.shape == x.shape
-        np.testing.assert_allclose((cx * y).sum(), (x * cty).sum(), rtol=1e-10)
+        for f in (5, 2):  # a 2 -> 3 channel transpose takes the gather branch
+            w = rng.normal(size=(f, 3, 3, 3))
+            y = rng.normal(size=(1, f, 4, 4))
+            cx = T.conv2d(Tensor(x), Tensor(w), stride=2, pad=1).data
+            cty = T.conv2d_transpose(Tensor(y), Tensor(w), stride=2, pad=1, out_pad=1).data
+            assert cty.shape == x.shape
+            np.testing.assert_allclose((cx * y).sum(), (x * cty).sum(), rtol=1e-10, err_msg=f"f={f}")
 
     def test_out_pad_must_be_less_than_stride(self):
         with pytest.raises(ShapeError, match="out_pad"):
@@ -380,6 +382,10 @@ class TestUnreadGradients:
             lambda x, w, b: T.conv2d_transpose(x, w, b, stride=2, pad=1, out_pad=1),
             ((2, 3, 3, 3), (3, 2, 3, 3), (2,)),
         ),
+        "conv2d_transpose_widening": (
+            lambda x, w, b: T.conv2d_transpose(x, w, b, stride=2, pad=1, out_pad=1),
+            ((2, 2, 3, 3), (2, 3, 3, 3), (3,)),
+        ),
     }
 
     @staticmethod
@@ -414,6 +420,7 @@ class TestUnreadGradients:
         got = T._pad(a, 2)
         assert got.dtype == a.dtype
         np.testing.assert_array_equal(got, np.pad(a, ((0, 0), (2, 2), (2, 2), (0, 0))))
+        assert T._pad(a, 0) is a  # no copy at pad 0
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,19 @@ def test_resume_into_own_directory_keeps_each_row_once(tmp_path):
     assert seconds == sorted(seconds)
 
 
+@pytest.mark.parametrize("cut", ["1", "1,0.5"], ids=["iter-digit", "two-fields"])
+def test_resume_drops_partly_written_last_row(tmp_path, cut):
+    cfg = ring_cfg(iterations=10, eval_every=2, checkpoint_every=8)
+    _, path = train(cfg, RING_X, RING_Y, tmp_path)
+    strip = lambda text: [r.rsplit(",", 1)[0] for r in text.splitlines()]
+    uninterrupted = strip(path.read_text())
+    # the row of iteration 10 was cut off mid-write, without its newline
+    text = path.read_text()
+    path.write_text(text[: text.index("\n10,") + 1] + cut)
+    train(cfg, RING_X, RING_Y, tmp_path, resume_from=tmp_path / "ckpt_8")
+    assert strip(path.read_text()) == uninterrupted
+
+
 @pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["ring", "dot"])
 def test_load_checkpoint_generates_only_a_few_examples(tmp_path, monkeypatch, pair, make_cfg):
     cfg = make_cfg()
