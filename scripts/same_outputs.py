@@ -15,12 +15,19 @@ checkout's ``perfbench/recipes.py`` at seed 5:
 translate --direction x2y`` with the checkpoint's own sampler on the first
 held-out X example, written with ``save_ctns``, and ``coopforge sample
 --domain y --count 8`` with the default sampler. Every file a side wrote is
-hashed, ``metrics.csv`` with its ``seconds`` column dropped. The script
-prints the files that differ and exits 1 if any do.
+hashed, ``metrics.csv`` with its ``seconds`` column dropped.
+
+The script prints each file that differs and exits 1 if any do. A file
+found on one side only whose hash equals that of a file found on the other
+side only prints as ``moved: <parent path> -> <change path>``. A ``.json``
+file that differs is followed by each dotted key whose value differs, as
+``<key>: <parent value> -> <change value>``, ``absent`` standing for a key
+that side does not have.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -91,6 +98,39 @@ def hash_side(checkout: Path, out: Path) -> dict:
     return {str(p.relative_to(out)): _digest(p) for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def _moves(hashes: dict) -> dict[str, str]:
+    """Parent-only file -> a change-only file with the same hash."""
+    unclaimed: dict[str, list[str]] = {}
+    for name in sorted(hashes["change"].keys() - hashes["parent"].keys()):
+        unclaimed.setdefault(hashes["change"][name], []).append(name)
+    moves = {}
+    for name in sorted(hashes["parent"].keys() - hashes["change"].keys()):
+        if unclaimed.get(hashes["parent"][name]):
+            moves[name] = unclaimed[hashes["parent"][name]].pop(0)
+    return moves
+
+
+def _leaves(value, key: str = "") -> dict:
+    """Dotted key -> value of every non-object leaf of a JSON document."""
+    if not (isinstance(value, dict) and value):
+        return {key: value}
+    out = {}
+    for k, sub in value.items():
+        out.update(_leaves(sub, f"{key}.{k}" if key else k))
+    return out
+
+
+def _json_changes(parent: Path, change: Path) -> list[str]:
+    """One ``key: parent value -> change value`` line per differing dotted key."""
+    old, new = (_leaves(json.loads(p.read_text())) for p in (parent, change))
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        was, now = (json.dumps(side[key]) if key in side else "absent" for side in (old, new))
+        if was != now:
+            lines.append(f"{key}: {was} -> {now}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="root of the parent coopforge checkout")
@@ -99,12 +139,22 @@ def main(argv=None) -> int:
     if not (checkouts["parent"] / "src" / "coopforge" / "__init__.py").is_file():
         sys.exit(f"error: no coopforge checkout at {checkouts['parent']}")
     with tempfile.TemporaryDirectory() as tmp:
-        hashes = {side: hash_side(checkouts[side], Path(tmp) / side) for side in SIDES}
-    names = sorted(hashes["parent"].keys() | hashes["change"].keys())
-    differ = [name for name in names if hashes["parent"].get(name) != hashes["change"].get(name)]
-    for name in differ:
-        where = [side for side in SIDES if name in hashes[side]]
-        print(f"differs: {name}" if len(where) == 2 else f"only in {where[0]}: {name}")
+        outs = {side: Path(tmp) / side for side in SIDES}
+        hashes = {side: hash_side(checkouts[side], outs[side]) for side in SIDES}
+        names = sorted(hashes["parent"].keys() | hashes["change"].keys())
+        differ = [name for name in names if hashes["parent"].get(name) != hashes["change"].get(name)]
+        moves = _moves(hashes)
+        for name in differ:
+            where = [side for side in SIDES if name in hashes[side]]
+            if name in moves:
+                print(f"moved: {name} -> {moves[name]}")
+            elif len(where) == 2:
+                print(f"differs: {name}")
+                if name.endswith(".json"):
+                    for line in _json_changes(outs["parent"] / name, outs["change"] / name):
+                        print(f"  {line}")
+            elif name not in moves.values():
+                print(f"only in {where[0]}: {name}")
     print(f"{len(names)} files compared, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -300,7 +300,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     shape = generate(with_count(desc, 3)).sample_shape
     lng = replace(cfg.langevin, **_given(args, _SAMPLER_FLAGS))
     gen = stream(args.seed, PURPOSE_DATA, a=args.count, b=0)
-    x0 = (cfg.reference_scale * gen.standard_normal((args.count,) + shape)).astype(np.float32)
+    x0 = (model.reference_scale * gen.standard_normal((args.count,) + shape)).astype(np.float32)
     samples = revise(x0, model, lng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import rng
-from .tensor import Tensor, load_ctns, save_ctns
+from .tensor import Tensor
 
 __all__ = [
     "DomainDescriptor",
@@ -36,8 +36,6 @@ __all__ = [
     "save_ppm",
     "load_ppm",
     "PpmError",
-    "save_ctns",
-    "load_ctns",
 ]
 
 

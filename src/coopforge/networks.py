@@ -218,10 +218,11 @@ class EnergyModel:
     """Energy over data space: E(x) = -f(x) + ||x||^2 / (2 s^2).
 
     ``scorer`` provides the learnable f; ``reference_scale`` is s, the
-    standard deviation of the Gaussian reference distribution.
+    standard deviation of the Gaussian reference distribution. Training
+    always uses the unit reference, s = 1.
     """
 
-    def __init__(self, scorer: Net, reference_scale: float):
+    def __init__(self, scorer: Net, reference_scale: float = 1.0):
         if reference_scale <= 0:
             raise ValueError(f"reference_scale must be positive, got {reference_scale}")
         self.scorer = scorer

@@ -25,7 +25,6 @@ __all__ = [
     "backward",
     "apply",
     "OPS",
-    "concat",
     "narrow",
     "conv2d",
     "conv2d_transpose",
@@ -368,21 +367,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record("reshape", (a,), out, lambda g: (g.reshape(orig),))
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    try:
-        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    except ValueError:
-        raise _shape_err("concat", *[t.shape for t in tensors]) from None
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record("concat", tuple(tensors), out, bwd)
-
-
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Entries ``start .. start+length-1`` of ``axis``; every other axis is kept whole.
 
@@ -597,7 +581,6 @@ OPS = {
     "sum": tensor_sum,
     "mean": tensor_mean,
     "reshape": reshape,
-    "concat": concat,
     "narrow": narrow,
     "sq_norm": sq_norm,
     "l1_norm": l1_norm,

@@ -11,7 +11,9 @@ parameters. A mode supplies only its batches, its objective
 (``image_objective`` or ``sequence_objective``) and the names of the
 networks that objective trains; a failed phase rolls the whole iteration
 back. Optimizer slots and checkpoint trees are keyed by the names of
-``TrainState.nets()``.
+``TrainState.nets()``. Every network takes exactly one Adam step per
+iteration, so the iteration clock ``TrainState.t`` is also Adam's step
+count: the step of iteration t is number t + 1.
 
 Everything the loop consumes is keyed by (seed, iteration) through
 counter-based streams, so a checkpoint needs to store only plain integers
@@ -65,12 +67,13 @@ class TrainConfig:
 
     ``lr`` is the Adam rate of every network. ``weights.lambda_cyc``
     always weighs the cycle term on points and images; on sequences only
-    if ``sequence_cycle`` is set.
+    if ``sequence_cycle`` is set. Two things are fixed rather than set:
+    each iteration trains on one example (or one k+1 frame clip) per
+    domain, and both energy models use the unit Gaussian reference.
     """
 
     iterations: int
     langevin: LangevinConfig = LangevinConfig(steps=15, step_size=0.02)
-    batch: int = 1
     lr: float = 2e-4
     weights: LossWeights = LossWeights()
     k: int = 2
@@ -78,18 +81,13 @@ class TrainConfig:
     eval_every: int = 100
     checkpoint_every: int = 500
     eval_samples: int = 200
-    reference_scale: float = 1.0
     sequence_cycle: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        for name in ("lr", "reference_scale"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.eval_every < 1 or self.checkpoint_every < 1:
@@ -100,11 +98,11 @@ class TrainConfig:
 
 @dataclass
 class AdamSlots:
-    """First/second moment buffers and the step count for one parameter set."""
+    """First/second moment buffers for one parameter set; the step count
+    is the iteration clock (``TrainState.t``)."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    count: int = 0
 
 
 @dataclass
@@ -183,12 +181,12 @@ def _init_slots(params: dict[str, Tensor]) -> AdamSlots:
 
 
 def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate: float, phase: str) -> None:
-    """One Adam step of the network ``net``; a non-finite result fails ``phase``."""
+    """Adam step number ``state.t + 1`` of the network ``net``; a non-finite
+    result fails ``phase``."""
     slots = state.opt[net]
-    slots.count += 1
     for name, p in state.groups()[net].items():
         p.data, (slots.m[name], slots.v[name]) = adam_step(
-            p.data, grads[name], (slots.m[name], slots.v[name]), rate, slots.count
+            p.data, grads[name], (slots.m[name], slots.v[name]), rate, state.t + 1
         )
         if not np.isfinite(p.data).all():
             raise TrainPhaseError(phase, f"non-finite parameter {net}.{name} after update")
@@ -209,8 +207,8 @@ def init_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset) -> Tr
     sequence = ds_x.kind == "sequences"
     if sequence and (length := min(ds_x.examples.shape[1], ds_y.examples.shape[1])) < cfg.k + 1:
         raise ValueError(f"k = {cfg.k} needs clips of k+1 = {cfg.k + 1} frames, but sequences have length {length}")
-    ebm_x = EnergyModel(build_scorer(shape, seed=cfg.seed, name="ebm_x"), cfg.reference_scale)
-    ebm_y = EnergyModel(build_scorer(shape, seed=cfg.seed, name="ebm_y"), cfg.reference_scale)
+    ebm_x = EnergyModel(build_scorer(shape, seed=cfg.seed, name="ebm_x"))
+    ebm_y = EnergyModel(build_scorer(shape, seed=cfg.seed, name="ebm_y"))
     g_xy = build_translator(shape, seed=cfg.seed, name="g_xy")
     g_yx = build_translator(shape, seed=cfg.seed, name="g_yx")
     r_x = r_y = None
@@ -226,7 +224,7 @@ def _snapshot(state: TrainState):
     # References suffice: adam_step is pure and _apply_adam rebinds p.data
     # and the moment entries, so an iteration never writes these arrays.
     params = {g: {k: p.data for k, p in ps.items()} for g, ps in state.groups().items()}
-    moments = {g: (dict(s.m), dict(s.v), s.count) for g, s in state.opt.items()}
+    moments = {g: (dict(s.m), dict(s.v)) for g, s in state.opt.items()}
     return params, moments
 
 
@@ -236,7 +234,7 @@ def _rollback(state: TrainState, snap) -> None:
         for k, p in ps.items():
             p.data = params[g][k]
     for g, s in state.opt.items():
-        s.m, s.v, s.count = moments[g]
+        s.m, s.v = moments[g]
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +310,16 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
 
 
 def train_iteration(state: TrainState, data_x: np.ndarray, data_y: np.ndarray, cfg: TrainConfig) -> TrainState:
-    """One alternating-teaching iteration on unpaired batches.
+    """One alternating-teaching iteration on one unpaired pair.
 
-    Samples a batch from each domain and runs the phase pipeline; the
-    translators descend ``image_objective``: teaching in both directions
-    plus the weighted cycle loss.
+    Draws one example from each domain and runs the phase pipeline on that
+    pair; the translators descend ``image_objective``: teaching in both
+    directions plus the weighted cycle loss.
     """
     if len(data_x) == 0 or len(data_y) == 0:
         raise ValueError("datasets must be non-empty")
-    y_batch = data_y[data_stream(cfg.seed, state.t, phase=0).integers(0, len(data_y), size=cfg.batch)]
-    x_batch = data_x[data_stream(cfg.seed, state.t, phase=1).integers(0, len(data_x), size=cfg.batch)]
+    y_batch = data_y[data_stream(cfg.seed, state.t, phase=0).integers(0, len(data_y), size=1)]
+    x_batch = data_x[data_stream(cfg.seed, state.t, phase=1).integers(0, len(data_x), size=1)]
 
     def objective(x_moved, y_moved, x_tilde, y_tilde):
         return image_objective(state.g_xy, state.g_yx, x_batch, y_batch, x_moved, y_moved, x_tilde, y_tilde, cfg.weights)
@@ -329,28 +327,28 @@ def train_iteration(state: TrainState, data_x: np.ndarray, data_y: np.ndarray, c
     return _run_phases(state, cfg, x_batch, y_batch, objective, ("g_xy", "g_yx"))
 
 
-def _sample_clips(seqs: np.ndarray, gen, count: int, k: int) -> np.ndarray:
-    """Uniform (sequence, start) windows of length k+1: (count, k+1, C, H, W)."""
+def _sample_clips(seqs: np.ndarray, gen, k: int) -> np.ndarray:
+    """One uniform (sequence, start) window of length k+1: (1, k+1, C, H, W)."""
     n, length = seqs.shape[0], seqs.shape[1]
     if length < k + 1:
         raise ValueError(f"sequences of length {length} cannot yield k+1 = {k + 1} frame clips")
-    idx = gen.integers(0, n, size=count)
-    starts = gen.integers(0, length - k, size=count)
-    return np.stack([seqs[i, s : s + k + 1] for i, s in zip(idx, starts)])
+    i = gen.integers(0, n, size=1)[0]
+    s = gen.integers(0, length - k, size=1)[0]
+    return seqs[i : i + 1, s : s + k + 1].copy()
 
 
 def train_sequence_iteration(state: TrainState, seq_x: np.ndarray, seq_y: np.ndarray, cfg: TrainConfig) -> TrainState:
     """One iteration of the sequence variant.
 
-    Samples k+1 frame clips from each domain and runs the phase pipeline on
-    their frames. Both translators and both temporal predictors jointly
+    Draws one k+1 frame clip from each domain and runs the phase pipeline
+    on their frames. Both translators and both temporal predictors jointly
     descend ``sequence_objective``, whose cycle term is zeroed unless
     ``cfg.sequence_cycle`` is set.
     """
     if state.r_x is None or state.r_y is None:
         raise ValueError("state has no temporal predictors; build it from sequence datasets")
-    y_clips = _sample_clips(seq_y, data_stream(cfg.seed, state.t, phase=0), cfg.batch, cfg.k)
-    x_clips = _sample_clips(seq_x, data_stream(cfg.seed, state.t, phase=1), cfg.batch, cfg.k)
+    y_clips = _sample_clips(seq_y, data_stream(cfg.seed, state.t, phase=0), cfg.k)
+    x_clips = _sample_clips(seq_x, data_stream(cfg.seed, state.t, phase=1), cfg.k)
     weights = cfg.weights if cfg.sequence_cycle else replace(cfg.weights, lambda_cyc=0.0)
 
     def objective(x_moved, y_moved, x_tilde, y_tilde):
@@ -372,6 +370,7 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
 
     The manifest's iteration and the seeds in its config are the complete
     sampling state: every stream the loop touches is a pure function of them.
+    The iteration is also the count of Adam steps each network has taken.
     """
     root = Path(out_dir) / f"ckpt_{state.t}"
     for name, net in state.nets().items():
@@ -387,7 +386,6 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
         "config": asdict(cfg),
         "domain_x": descriptor_line(desc_x),
         "domain_y": descriptor_line(desc_y),
-        "adam_counts": {name: s.count for name, s in state.opt.items()},
         "params": {n: sorted(net.params) for n, net in state.nets().items()},
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
@@ -420,7 +418,6 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, Do
         if stored != set(net.params):
             raise KeyError(f"{name}: checkpoint parameters {sorted(stored)} do not match")
         slots, nets_dir, adam_dir = state.opt[name], root / "nets" / name, root / "adam" / name
-        slots.count = manifest["adam_counts"][name]
         net.load_state({k: load_ctns(nets_dir / f"{k}.ctns").data for k in net.params})
         for k in net.params:
             slots.m[k] = load_ctns(adam_dir / f"{k}.m.ctns").data

@@ -88,14 +88,13 @@ def _operator_cases(rng_):
     k2 = _leaf(rng_, (4,), keep_off_kinks=True)
     k3 = _leaf(rng_, (2, 3), keep_off_kinks=True)
     c = _leaf(rng_, (2, 6))
-    c1, c2 = _leaf(rng_, (2, 3)), _leaf(rng_, (1, 3))
     m1, m2 = _leaf(rng_, (3, 4)), _leaf(rng_, (4, 2))
     ca_x, ca_g, ca_b = _leaf(rng_, (2, 3, 5)), _leaf(rng_, (3,)), _leaf(rng_, (3,))
     cv_x, cv_w, cv_b = _leaf(rng_, (2, 2, 5, 5)), _leaf(rng_, (3, 2, 3, 3)), _leaf(rng_, (3,))
     ct_x, ct_w, ct_b = _leaf(rng_, (2, 3, 3, 3)), _leaf(rng_, (3, 2, 3, 3)), _leaf(rng_, (2,))
 
     w32, w23, w34 = w((3, 2)), w((2, 3)), w((3, 4))
-    wcat, wmm = w((3, 3)), w((3, 2))
+    wmm = w((3, 2))
     wca, wcv, wct = w((2, 3, 5)), w((3, 3, 3)), w((2, 6, 6))
     nw, wnw = _leaf(rng_, (2, 3, 4)), w((2, 2, 4))
 
@@ -112,7 +111,6 @@ def _operator_cases(rng_):
         "sq_norm": ({"a": a}, lambda: a.sq_norm()),
         "l1_norm": ({"k": k2}, lambda: k2.l1_norm()),
         "reshape": ({"c": c}, lambda: _weighted_sum(c.reshape(3, 4), w34)),
-        "concat": ({"c1": c1, "c2": c2}, lambda: _weighted_sum(T.concat([c1, c2], axis=0), wcat)),
         "narrow": ({"n": nw}, lambda: _weighted_sum(T.narrow(nw, 1, 1, 2), wnw)),
         "matmul": ({"m1": m1, "m2": m2}, lambda: _weighted_sum(T.matmul(m1, m2), wmm)),
         "channel_affine": (

@@ -48,12 +48,10 @@ def test_defaults_follow_training_recipe():
     assert cfg.langevin.step_size == 0.02
     assert cfg.langevin.noise_scale == 1.0
     assert cfg.lr == 2e-4
-    assert cfg.batch == 1
     assert (cfg.weights.lambda_cyc, cfg.weights.lambda1, cfg.weights.lambda2) == (9.0, 9.0, 9.0)
     assert cfg.k == 2
     assert cfg.seed == 0
     assert (cfg.eval_every, cfg.checkpoint_every, cfg.eval_samples) == (100, 500, 200)
-    assert cfg.reference_scale == 1.0
     assert cfg.sequence_cycle is False
 
 
@@ -148,7 +146,7 @@ def test_every_schedule_field_has_one_key_and_one_flag():
     leaves = dict(_leaf_fields(base))
     schedule = [path for path in leaves if path != ("langevin", "seed")]
     assert train_flags == {_key_for(path) for path in schedule} | {"domain_x", "domain_y", "out"}
-    assert len(train_flags) == 19
+    assert len(train_flags) == 17
     for path in schedule:
         key, value = _key_for(path), str(_other(leaves[path]))
         body = MINIMAL.replace("iterations = 5\n", "") if key == "iterations" else MINIMAL

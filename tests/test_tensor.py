@@ -84,12 +84,6 @@ class TestElementwiseGrads:
         a = leaf(rng.normal(size=(2, 6)))
         check_op(lambda: a.reshape(3, 4).square().sum(), {"a": a})
 
-    def test_concat_grads(self):
-        rng = np.random.default_rng(7)
-        a = leaf(rng.normal(size=(2, 3)))
-        b = leaf(rng.normal(size=(4, 3)))
-        check_op(lambda: T.concat([a, b], axis=0).square().sum(), {"a": a, "b": b})
-
     def test_narrow_gradient_lands_in_the_slice(self):
         # (n, k+1, C, H, W) frames, the past k=2 of 3 taken: the last frame
         # of each clip gets zero gradient, the sliced ones get the weights
@@ -529,7 +523,6 @@ class TestApplyRegistry:
             "sum": lambda: apply("sum", a),
             "mean": lambda: apply("mean", a),
             "reshape": lambda: apply("reshape", a, (4,)).sum(),
-            "concat": lambda: apply("concat", [a, b], axis=0).sum(),
             "narrow": lambda: apply("narrow", a, 1, 1, 1).sum(),
             "sq_norm": lambda: apply("sq_norm", a),
             "l1_norm": lambda: apply("l1_norm", a),

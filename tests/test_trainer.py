@@ -74,8 +74,7 @@ def all_params(state) -> dict:
 
 def all_moments(state) -> dict:
     return {
-        g: ({k: a.copy() for k, a in s.m.items()}, {k: a.copy() for k, a in s.v.items()}, s.count)
-        for g, s in state.opt.items()
+        g: ({k: a.copy() for k, a in s.m.items()}, {k: a.copy() for k, a in s.v.items()}) for g, s in state.opt.items()
     }
 
 
@@ -143,24 +142,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ring_cfg(iterations=0)
     with pytest.raises(ValueError):
-        ring_cfg(batch=0)
-    with pytest.raises(ValueError):
         ring_cfg(lr=0.0)
     with pytest.raises(ValueError):
         ring_cfg(k=0)
     with pytest.raises(ValueError):
         ring_cfg(eval_samples=2)
-    with pytest.raises(ValueError):
-        ring_cfg(reference_scale=0.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["lr", "lr_theta_x", "lr_theta_y", "lr_alpha_x", "lr_alpha_y", "reference_scale"])
+@pytest.mark.parametrize(
+    "name", ["lr", "lr_theta_x", "lr_theta_y", "lr_alpha_x", "lr_alpha_y", "batch", "reference_scale"]
+)
 def test_config_rejects_non_finite_rates(name, value):
-    # reference_scale = inf would pass a `> 0` test and zero E(x)'s reference term
-    if name.startswith("lr_"):
-        # the four per-network rates of older configs merged into lr: a stored
-        # config still carrying one is refused, and lr itself takes the check
+    if name != "lr":
+        # older configs carried four per-network rates (now merged into lr), a
+        # batch size and a reference scale (now fixed at one pair and the unit
+        # reference): a stored config still carrying one is refused, and lr
+        # itself takes the check
         stale = {**dataclasses.asdict(ring_cfg()), name: value}
         with pytest.raises(ValueError, match=rf"TrainConfig has no fields \['{name}'\]"):
             config_from_dict(TrainConfig, stale)
@@ -171,11 +169,11 @@ def test_config_rejects_non_finite_rates(name, value):
 
 def test_init_state_points():
     state = init_state(ring_cfg(), generate(RING_X), generate(RING_Y))
+    assert state.t == 0
     assert state.r_x is None and state.r_y is None
     assert set(state.opt) == {"ebm_x", "ebm_y", "g_xy", "g_yx"}
     for gname, params in state.groups().items():
         slots = state.opt[gname]
-        assert slots.count == 0
         for k, p in params.items():
             # moment buffers mirror parameter shapes exactly
             assert slots.m[k].shape == p.data.shape
@@ -237,6 +235,36 @@ def test_iteration_advances_clock_and_stats():
     assert all(np.isfinite(v) for v in state.last.values())
 
 
+@pytest.mark.parametrize(
+    "step, pair, make_cfg",
+    [(train_iteration, (RING_X, RING_Y), ring_cfg), (train_sequence_iteration, (DOT_X, DOT_Y), dot_cfg)],
+    ids=["points", "sequences"],
+)
+def test_adam_step_count_is_the_clock(monkeypatch, step, pair, make_cfg):
+    # each iteration steps every parameter of every network exactly once,
+    # and always as Adam step number state.t + 1
+    cfg = make_cfg()
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state = init_state(cfg, dsx, dsy)
+    calls = []
+    real = trainer.adam_step
+
+    def spy(param, grad, moments, rate, t):
+        calls.append((id(param), t, state.t))
+        return real(param, grad, moments, rate, t)
+
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    for it in range(3):
+        # every parameter array lives until the iteration ends (the snapshot
+        # holds it), so its id names it; a second step would see a new array
+        owner = {id(p.data): f"{name}.{k}" for name, net in state.nets().items() for k, p in net.params.items()}
+        calls.clear()
+        step(state, dsx.examples, dsy.examples, cfg)
+        assert state.t == it + 1
+        assert sorted(owner.get(i, "?") for i, _, _ in calls) == sorted(owner.values())
+        assert all(t == clock + 1 == it + 1 for _, t, clock in calls)
+
+
 def test_iteration_rejects_empty_data():
     cfg = ring_cfg()
     dsx, dsy = generate(RING_X), generate(RING_Y)
@@ -252,14 +280,12 @@ def test_divergence_rolls_back_and_tags_phase():
     state = init_state(cfg, dsx, dsy)
     train_iteration(state, dsx.examples, dsy.examples, ring_cfg())  # one clean step first
     before = all_params(state)
-    counts = {g: s.count for g, s in state.opt.items()}
     with pytest.raises(TrainPhaseError) as err:
         train_iteration(state, dsx.examples, dsy.examples, cfg)
     assert err.value.phase == "langevin_x"
     after = all_params(state)
     for k in before:
         np.testing.assert_array_equal(before[k], after[k], err_msg=k)
-    assert {g: s.count for g, s in state.opt.items()} == counts
     assert state.t == 1
 
 
@@ -297,8 +323,7 @@ def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step,
         assert after[k].tobytes() == params[k].tobytes(), k
     restored = all_moments(state)
     assert set(restored) == set(moments)
-    for g, (m, v, count) in moments.items():
-        assert restored[g][2] == count, g
+    for g, (m, v) in moments.items():
         for k in m:
             assert restored[g][0][k].tobytes() == m[k].tobytes(), (g, k)
             assert restored[g][1][k].tobytes() == v[k].tobytes(), (g, k)
@@ -336,10 +361,10 @@ def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2, 
     from coopforge.trainer import _apply_adam, _sample_clips
 
     t = twin.t
-    y_clips = _sample_clips(dsy.examples, data_stream(cfg.seed, t, phase=0), cfg.batch, cfg.k)
-    x_clips = _sample_clips(dsx.examples, data_stream(cfg.seed, t, phase=1), cfg.batch, cfg.k)
+    y_clips = _sample_clips(dsy.examples, data_stream(cfg.seed, t, phase=0), cfg.k)
+    x_clips = _sample_clips(dsx.examples, data_stream(cfg.seed, t, phase=1), cfg.k)
     x_frames, y_frames = clip_frames(x_clips), clip_frames(y_clips)
-    per_dir = cfg.batch * (cfg.k + 1)
+    per_dir = cfg.k + 1
     graph = Graph()
     with graph:
         x_moved = twin.g_yx.forward(Tensor(y_frames))
@@ -487,7 +512,6 @@ def test_checkpoint_round_trip(tmp_path):
     for k in before:
         np.testing.assert_array_equal(before[k], after[k], err_msg=k)
     for g, slots in state.opt.items():
-        assert loaded.opt[g].count == slots.count
         for k in slots.m:
             np.testing.assert_array_equal(loaded.opt[g].m[k], slots.m[k])
             np.testing.assert_array_equal(loaded.opt[g].v[k], slots.v[k])
@@ -502,7 +526,7 @@ def test_every_record_is_keyed_by_net_name(tmp_path, pair, make_cfg):
     names = set(state.nets())
     assert set(state.groups()) == set(state.opt) == names
     assert {d.name for d in (root / "nets").iterdir()} == {d.name for d in (root / "adam").iterdir()} == names
-    assert set(manifest["params"]) == set(manifest["adam_counts"]) == names
+    assert set(manifest["params"]) == names
 
 
 def test_config_from_dict_inverts_asdict():
