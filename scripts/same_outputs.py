@@ -11,11 +11,18 @@ checkout's ``perfbench/recipes.py`` at seed 5:
 - dot_no_cycle: the same dot run with ``sequence_cycle=False``;
 - shapes: a 4-iteration run on the shapes pair at the dot recipe's sampler.
 
-``coopforge eval`` then runs on each final checkpoint, ``coopforge
-translate --direction x2y`` with the checkpoint's own sampler on the first
-held-out X example, written with ``save_ctns``, and ``coopforge sample
---domain y --count 8`` with the default sampler. Every file a side wrote is
-hashed, ``metrics.csv`` with its ``seconds`` column dropped.
+Each run also writes ``state.json`` from the state ``train`` returns: the
+clock and, per network, the sha256 of its parameters and of each Adam
+moment, every digest taken over the bytes in ``params`` order. It reads
+the state through names both the flat layout (one moment vector per
+network) and the older one (one moment array per parameter) have, so a
+change of checkpoint layout can still be checked for bitwise equal
+training. ``coopforge eval`` then runs on each final checkpoint,
+``coopforge translate --direction x2y`` with the checkpoint's own sampler
+on the first held-out X example, written with ``save_ctns``, and
+``coopforge sample --domain y --count 8`` with the default sampler. Every
+file a side wrote is hashed, ``metrics.csv`` with its ``seconds`` column
+dropped.
 
 The script prints each file that differs and exits 1 if any do. A file
 found on one side only whose hash equals that of a file found on the other
@@ -39,9 +46,28 @@ SEED = 5
 SIDES = ("parent", "change")
 
 
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def state_digest(state) -> dict:
+    """The clock and per network the digests of its parameters and moments."""
+    nets = {}
+    for name, net in state.nets().items():
+        nets[name] = {"params": _sha256(p.data for p in net.params.values())}
+        for slot in ("m", "v"):
+            moment = getattr(state.opt[name], slot)
+            nets[name][slot] = _sha256(moment.values() if isinstance(moment, dict) else [moment])
+    return {"t": state.t, "nets": nets}
+
+
 def run_side(out: str) -> None:
-    """Train every run under ``out``, then eval its final checkpoint,
-    translate one held-out example with it and sample from its Y model.
+    """Train every run under ``out`` and record its final state, then eval
+    its final checkpoint, translate one held-out example with it and sample
+    from its Y model.
 
     Called in a side's subprocess after ``import coopforge``, so the BLAS
     thread cap is in place before numpy loads.
@@ -67,6 +93,7 @@ def run_side(out: str) -> None:
     for name, (cfg, iterations, desc_x, desc_y) in runs.items():
         cfg, run_dir = recipes.seeded(cfg, SEED, iterations), Path(out) / name
         state, _ = train(cfg, desc_x, desc_y, run_dir)
+        (run_dir / "state.json").write_text(json.dumps(state_digest(state), indent=1, sort_keys=True))
         ckpt, held_out = str(run_dir / f"ckpt_{state.t}"), run_dir / "held_out.ctns"
         save_ctns(generate(eval_descriptor(desc_x, cfg)).examples[0], held_out)
         commands = {

@@ -2,7 +2,9 @@
 and the temporal predictor used for frame sequences.
 
 All parameters are float32 leaves initialized from named counter-based
-streams, so two constructions with the same (seed, name) are identical.
+streams, so two constructions with the same (seed, name) are identical. A
+network built with seed ``None`` draws nothing: its Gaussian-initialized
+parameters start at zero, for a caller about to load stored values.
 Translators start as the exact identity map: every path that could perturb
 the input ends in a zero-initialized layer, which keeps early training
 stable at batch size 1.
@@ -37,13 +39,15 @@ class Net:
     the canonical parameter order for optimizers and checkpoints.
     """
 
-    def __init__(self, name: str, seed: int, dtype=np.float32):
+    def __init__(self, name: str, seed: int | None, dtype=np.float32):
         self.name = name
-        self.seed = int(seed)
+        self.seed = None if seed is None else int(seed)
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
 
     def _gaussian(self, local: str, shape: tuple, fan_in: int) -> Tensor:
+        if self.seed is None:
+            return self._zeros(local, shape)
         g = rng.init_stream(self.seed, f"{self.name}.{local}")
         arr = (g.standard_normal(size=shape) / np.sqrt(fan_in)).astype(self.dtype)
         return self._register(local, arr)
@@ -78,16 +82,6 @@ class Net:
 
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.params.items()}
-
-    def load_state(self, state: dict) -> None:
-        missing = set(self.params) ^ set(state)
-        if missing:
-            raise KeyError(f"{self.name}: state keys do not match parameters: {sorted(missing)}")
-        for k, p in self.params.items():
-            arr = np.asarray(state[k], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise T.ShapeError(f"{self.name}.{k}: expected {p.data.shape}, got {arr.shape}")
-            p.data[...] = arr
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +388,7 @@ class TemporalPredictor(Net):
 # ---------------------------------------------------------------------------
 
 
-def build_scorer(shape: tuple, seed: int, name: str) -> Net:
+def build_scorer(shape: tuple, seed: int | None, name: str) -> Net:
     """Scorer for samples of ``shape``: (d,) -> point MLP, (C,H,W) -> conv net."""
     if len(shape) == 1:
         return PointScorer(dim=shape[0], seed=seed, name=name)
@@ -403,7 +397,7 @@ def build_scorer(shape: tuple, seed: int, name: str) -> Net:
     raise T.ShapeError(f"no scorer for sample shape {shape}")
 
 
-def build_translator(shape: tuple, seed: int, name: str) -> Net:
+def build_translator(shape: tuple, seed: int | None, name: str) -> Net:
     """Translator for samples of ``shape``; identity map at initialization."""
     if len(shape) == 1:
         return PointTranslator(dim=shape[0], seed=seed, name=name)

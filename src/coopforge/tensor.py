@@ -450,9 +450,14 @@ def _pad(a: np.ndarray, pad: int) -> np.ndarray:
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
     """im2col on an already-padded NHWC array -> (N*Ho*Wo, kh*kw*C), Ho, Wo."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    n, ho, wo, c = win.shape[:4]  # (N, Ho, Wo, C, kh, kw)
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * c), ho, wo
+    n, h, w, c = xp.shape
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sh, sw, sc = xp.strides
+    # a read-only (N, Ho, Wo, kh, kw, C) window view; the reshape is the one copy
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, ho, wo, kh, kw, c), (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False
+    )
+    return win.reshape(n * ho * wo, kh * kw * c), ho, wo
 
 
 def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:

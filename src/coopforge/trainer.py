@@ -10,10 +10,13 @@ updates, and every gradient inside a phase is taken at the phase-start
 parameters. A mode supplies only its batches, its objective
 (``image_objective`` or ``sequence_objective``) and the names of the
 networks that objective trains; a failed phase rolls the whole iteration
-back. Optimizer slots and checkpoint trees are keyed by the names of
+back. Optimizer slots and checkpoint files are keyed by the names of
 ``TrainState.nets()``. Every network takes exactly one Adam step per
 iteration, so the iteration clock ``TrainState.t`` is also Adam's step
-count: the step of iteration t is number t + 1.
+count: the step of iteration t is number t + 1. Adam is elementwise, so
+that step runs once on the network's parameters as one flat float32
+vector, in ``params`` order; its moments and its checkpoint files are
+vectors in the same order.
 
 Everything the loop consumes is keyed by (seed, iteration) through
 counter-based streams, so a checkpoint needs to store only plain integers
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import shutil
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
@@ -98,16 +102,22 @@ class TrainConfig:
 
 @dataclass
 class AdamSlots:
-    """First/second moment buffers for one parameter set; the step count
-    is the iteration clock (``TrainState.t``)."""
+    """First and second moments of one network, each one float32 vector
+    over its parameters flattened in ``params`` order; the step count is the
+    iteration clock (``TrainState.t``). An update rebinds both vectors and
+    never writes them in place."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
 @dataclass
 class TrainState:
-    """The four (or six) networks, their optimizer slots, and the clock."""
+    """The four (or six) networks, their optimizer slots, and the clock.
+
+    ``opt`` is empty in a state from ``load_checkpoint``: only a resumed
+    ``train`` reads the stored moments.
+    """
 
     ebm_x: EnergyModel
     ebm_y: EnergyModel
@@ -173,23 +183,41 @@ def adam_step(
     return param - rate * m_hat / (np.sqrt(v_hat) + _EPS), (m, v)
 
 
-def _init_slots(params: dict[str, Tensor]) -> AdamSlots:
-    return AdamSlots(
-        m={k: np.zeros_like(p.data) for k, p in params.items()},
-        v={k: np.zeros_like(p.data) for k, p in params.items()},
-    )
+def _flatten(arrays) -> np.ndarray:
+    """One vector of ``arrays`` raveled and concatenated in order."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _unflatten(params: dict[str, Tensor], flat: np.ndarray) -> None:
+    """Rebind each parameter to its view of ``flat``, in ``params`` order."""
+    offset = 0
+    for p in params.values():
+        size = p.data.size
+        p.data = flat[offset : offset + size].reshape(p.data.shape)
+        offset += size
+
+
+def _init_slots(net: Net) -> AdamSlots:
+    size = sum(p.data.size for p in net.params.values())
+    return AdamSlots(m=np.zeros(size, dtype=net.dtype), v=np.zeros(size, dtype=net.dtype))
 
 
 def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate: float, phase: str) -> None:
-    """Adam step number ``state.t + 1`` of the network ``net``; a non-finite
-    result fails ``phase``."""
-    slots = state.opt[net]
-    for name, p in state.groups()[net].items():
-        p.data, (slots.m[name], slots.v[name]) = adam_step(
-            p.data, grads[name], (slots.m[name], slots.v[name]), rate, state.t + 1
-        )
-        if not np.isfinite(p.data).all():
-            raise TrainPhaseError(phase, f"non-finite parameter {net}.{name} after update")
+    """Adam step number ``state.t + 1`` of the network ``net``, taken once on
+    its parameters and the per-leaf ``grads`` concatenated in ``params``
+    order. Each parameter is then rebound to its view of the new vector, so
+    the parameters stay the source of truth. A non-finite result fails
+    ``phase``, naming the first offending parameter, and changes nothing."""
+    params, slots = state.groups()[net], state.opt[net]
+    flat, moments = adam_step(
+        _flatten(p.data for p in params.values()), _flatten(grads[k] for k in params), (slots.m, slots.v), rate, state.t + 1
+    )
+    if not np.isfinite(flat).all():
+        sizes = np.cumsum([p.data.size for p in params.values()])
+        bad = list(params)[int(np.searchsorted(sizes, np.argmin(np.isfinite(flat)), side="right"))]
+        raise TrainPhaseError(phase, f"non-finite parameter {net}.{bad} after update")
+    slots.m, slots.v = moments
+    _unflatten(params, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +225,9 @@ def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate:
 # ---------------------------------------------------------------------------
 
 
-def init_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset) -> TrainState:
-    """Seeded networks and zeroed optimizer slots for a dataset pair."""
+def _build_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset, seed: int | None) -> TrainState:
+    """The networks for a dataset pair, drawn from ``seed`` (left at zero
+    where a draw would go if it is None), with no optimizer slots."""
     if ds_x.kind != ds_y.kind:
         raise ValueError(f"domain kinds differ: {ds_x.kind} vs {ds_y.kind}")
     if ds_x.sample_shape != ds_y.sample_shape:
@@ -207,24 +236,30 @@ def init_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset) -> Tr
     sequence = ds_x.kind == "sequences"
     if sequence and (length := min(ds_x.examples.shape[1], ds_y.examples.shape[1])) < cfg.k + 1:
         raise ValueError(f"k = {cfg.k} needs clips of k+1 = {cfg.k + 1} frames, but sequences have length {length}")
-    ebm_x = EnergyModel(build_scorer(shape, seed=cfg.seed, name="ebm_x"))
-    ebm_y = EnergyModel(build_scorer(shape, seed=cfg.seed, name="ebm_y"))
-    g_xy = build_translator(shape, seed=cfg.seed, name="g_xy")
-    g_yx = build_translator(shape, seed=cfg.seed, name="g_yx")
+    ebm_x = EnergyModel(build_scorer(shape, seed=seed, name="ebm_x"))
+    ebm_y = EnergyModel(build_scorer(shape, seed=seed, name="ebm_y"))
+    g_xy = build_translator(shape, seed=seed, name="g_xy")
+    g_yx = build_translator(shape, seed=seed, name="g_yx")
     r_x = r_y = None
     if sequence:
-        r_x = TemporalPredictor(in_shape=shape, k=cfg.k, seed=cfg.seed, name="r_x")
-        r_y = TemporalPredictor(in_shape=shape, k=cfg.k, seed=cfg.seed, name="r_y")
-    state = TrainState(ebm_x, ebm_y, g_xy, g_yx, r_x, r_y, opt={})
-    state.opt = {name: _init_slots(params) for name, params in state.groups().items()}
+        r_x = TemporalPredictor(in_shape=shape, k=cfg.k, seed=seed, name="r_x")
+        r_y = TemporalPredictor(in_shape=shape, k=cfg.k, seed=seed, name="r_y")
+    return TrainState(ebm_x, ebm_y, g_xy, g_yx, r_x, r_y, opt={})
+
+
+def init_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset) -> TrainState:
+    """Seeded networks and zeroed optimizer slots for a dataset pair."""
+    state = _build_state(cfg, ds_x, ds_y, cfg.seed)
+    state.opt = {name: _init_slots(net) for name, net in state.nets().items()}
     return state
 
 
 def _snapshot(state: TrainState):
-    # References suffice: adam_step is pure and _apply_adam rebinds p.data
-    # and the moment entries, so an iteration never writes these arrays.
+    """References to every parameter array and moment vector. They suffice:
+    ``adam_step`` is pure and ``_apply_adam`` rebinds ``p.data`` and both
+    moment vectors, so an iteration never writes these arrays."""
     params = {g: {k: p.data for k, p in ps.items()} for g, ps in state.groups().items()}
-    moments = {g: (dict(s.m), dict(s.v)) for g, s in state.opt.items()}
+    moments = {g: (s.m, s.v) for g, s in state.opt.items()}
     return params, moments
 
 
@@ -365,31 +400,74 @@ def train_sequence_iteration(state: TrainState, seq_x: np.ndarray, seq_y: np.nda
 
 
 def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescriptor, desc_y: DomainDescriptor, out_dir) -> Path:
-    """Write ckpt_{t}/: manifest.json, nets/<net>/<param>.ctns and
-    adam/<net>/<param>.{m,v}.ctns, with <net> a ``nets()`` name.
+    """Write ckpt_{t}/: manifest.json and, for each ``nets()`` name <net>,
+    three flat float32 vectors in ``params`` order: nets/<net>.ctns (the
+    parameters), adam/<net>.m.ctns and adam/<net>.v.ctns (the moments).
 
-    The manifest's iteration and the seeds in its config are the complete
-    sampling state: every stream the loop touches is a pure function of them.
-    The iteration is also the count of Adam steps each network has taken.
+    The manifest lists each network's ``[name, shape]`` pairs in parameter
+    order, which fixes every parameter's offset, and each file's byte size.
+    Its iteration and the seeds in its config are the complete sampling
+    state: every stream the loop touches is a pure function of them. The
+    iteration is also the count of Adam steps each network has taken.
+
+    The files go into ckpt_{t}.tmp/ (a stale one is cleared first), the
+    manifest last, and the directory is then renamed to ckpt_{t}, replacing
+    an older checkpoint of the same iteration.
     """
     root = Path(out_dir) / f"ckpt_{state.t}"
+    tmp = root.with_name(root.name + ".tmp")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    (tmp / "nets").mkdir(parents=True)
+    (tmp / "adam").mkdir()
+    files = {}
     for name, net in state.nets().items():
-        slots, nets_dir, adam_dir = state.opt[name], root / "nets" / name, root / "adam" / name
-        nets_dir.mkdir(parents=True, exist_ok=True)
-        adam_dir.mkdir(parents=True, exist_ok=True)
-        for k, p in net.params.items():
-            save_ctns(p.data, nets_dir / f"{k}.ctns")
-            save_ctns(slots.m[k], adam_dir / f"{k}.m.ctns")
-            save_ctns(slots.v[k], adam_dir / f"{k}.v.ctns")
+        slots = state.opt[name]
+        vectors = {f"nets/{name}.ctns": _flatten(p.data for p in net.params.values())}
+        vectors.update({f"adam/{name}.m.ctns": slots.m, f"adam/{name}.v.ctns": slots.v})
+        for rel, flat in vectors.items():
+            save_ctns(flat, tmp / rel)
+            files[rel] = (tmp / rel).stat().st_size
     manifest = {
         "iteration": state.t,
         "config": asdict(cfg),
         "domain_x": descriptor_line(desc_x),
         "domain_y": descriptor_line(desc_y),
-        "params": {n: sorted(net.params) for n, net in state.nets().items()},
+        "params": {n: _layout(net) for n, net in state.nets().items()},
+        "files": files,
     }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    if root.exists():
+        shutil.rmtree(root)
+    tmp.rename(root)
     return root
+
+
+def _layout(net: Net) -> list:
+    """The manifest's ``[name, shape]`` pairs of ``net``, in parameter order."""
+    return [[k, list(p.data.shape)] for k, p in net.params.items()]
+
+
+def _read_manifest(root: Path) -> dict:
+    path = root / "manifest.json"
+    if not path.is_file():
+        raise FileNotFoundError(f"{path}: missing; a checkpoint is complete only once its manifest is written")
+    return json.loads(path.read_text())
+
+
+def _read_vector(root: Path, files: dict, rel: str, net: Net) -> np.ndarray:
+    """The flat vector stored at ``rel``, checked against the manifest's byte
+    size and against the length and dtype of ``net``'s parameters."""
+    path = root / rel
+    if not path.is_file():
+        raise FileNotFoundError(f"{path}: missing, but the manifest lists it")
+    if (on_disk := path.stat().st_size) != files.get(rel):
+        raise ValueError(f"{path}: {on_disk} bytes, but the manifest lists {files.get(rel)}")
+    flat = load_ctns(path).data
+    size = sum(p.data.size for p in net.params.values())
+    if flat.shape != (size,) or flat.dtype != net.dtype:
+        raise ValueError(f"{net.name}: {path} holds {flat.dtype} {flat.shape}, the network needs {net.dtype} ({size},)")
+    return flat
 
 
 _field_types = functools.cache(get_type_hints)  # resolved once per config class, not per load
@@ -405,25 +483,36 @@ def config_from_dict(cls, d: dict):
 
 
 def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, DomainDescriptor]:
-    """Rebuild a TrainState (networks, moments, clock) from ckpt_{t}/."""
+    """Rebuild the networks and the clock from ckpt_{t}/.
+
+    The networks are built without drawing initial weights, and each reads
+    its one parameter vector; a name, shape or length that differs from the
+    stored one fails, naming the network. No moments are read, so
+    ``state.opt`` is empty; ``train`` reads them when it resumes.
+    """
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
+    manifest = _read_manifest(root)
     cfg = config_from_dict(TrainConfig, manifest["config"])
     desc_x = parse_descriptor(manifest["domain_x"])
     desc_y = parse_descriptor(manifest["domain_y"])
     # three examples per domain fix the networks' shapes; the data is not needed
-    state = init_state(cfg, generate(with_count(desc_x, 3)), generate(with_count(desc_y, 3)))
+    state = _build_state(cfg, generate(with_count(desc_x, 3)), generate(with_count(desc_y, 3)), seed=None)
     for name, net in state.nets().items():
-        stored = set(manifest["params"][name])
-        if stored != set(net.params):
-            raise KeyError(f"{name}: checkpoint parameters {sorted(stored)} do not match")
-        slots, nets_dir, adam_dir = state.opt[name], root / "nets" / name, root / "adam" / name
-        net.load_state({k: load_ctns(nets_dir / f"{k}.ctns").data for k in net.params})
-        for k in net.params:
-            slots.m[k] = load_ctns(adam_dir / f"{k}.m.ctns").data
-            slots.v[k] = load_ctns(adam_dir / f"{k}.v.ctns").data
+        stored = manifest["params"].get(name)
+        if stored != _layout(net):
+            raise ValueError(f"{name}: checkpoint parameters {stored} do not match the network's {_layout(net)}")
+        _unflatten(net.params, _read_vector(root, manifest["files"], f"nets/{name}.ctns", net))
     state.t = manifest["iteration"]
     return state, cfg, desc_x, desc_y
+
+
+def _read_slots(root: Path, state: TrainState) -> dict[str, AdamSlots]:
+    """Each network's Adam moments, read from ckpt_{t}/adam/."""
+    files = _read_manifest(root)["files"]
+    return {
+        name: AdamSlots(*(_read_vector(root, files, f"adam/{name}.{s}.ctns", net) for s in ("m", "v")))
+        for name, net in state.nets().items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +545,7 @@ def train(
             raise ValueError("checkpoint config does not match the requested one")
         if (stored_x, stored_y) != (desc_x, desc_y):
             raise ValueError("checkpoint domains do not match the requested ones")
+        state.opt = _read_slots(Path(resume_from), state)
     else:
         state = init_state(cfg, ds_x, ds_y)
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from coopforge import cli, rng, trainer
 from coopforge.cli import RunConfig, build_parser, main
 from coopforge.domains import descriptor_line, generate, load_ppm, parse_descriptor, save_ppm
 from coopforge.tensor import load_ctns, save_ctns
@@ -305,6 +306,30 @@ def test_translate_zero_steps_is_pure_translator(ring_run, tmp_path):
     state, _, _, _ = load_checkpoint(ring_run["ckpt"])
     expected = run_translator(state.g_xy, points)
     np.testing.assert_array_equal(load_ctns(out / "input.ctns").data, expected)
+
+
+def test_translate_reads_one_file_per_network_and_draws_nothing(dot_run, tmp_path, monkeypatch):
+    # serving a checkpoint reads each network's one parameter vector and the
+    # input, no Adam moment, and draws no initial weights
+    clip = generate(parse_descriptor(DOT_X_LINE)).examples[0]
+    src = tmp_path / "clip.ctns"
+    save_ctns(clip, src)
+    read = []
+
+    def spy(path):
+        read.append(str(path))
+        return load_ctns(path)
+
+    def no_draw(*args):
+        raise AssertionError("an initial weight was drawn")
+
+    for module in (cli, trainer):
+        monkeypatch.setattr(module, "load_ctns", spy)
+    monkeypatch.setattr(rng, "init_stream", no_draw)
+    rc = main(["translate", "--checkpoint", str(dot_run["ckpt"]), "--input", str(src), "--direction", "x2y", "--out", str(tmp_path / "moved")])
+    assert rc == 0
+    nets = ("ebm_x", "ebm_y", "g_xy", "g_yx", "r_x", "r_y")
+    assert sorted(read) == sorted([str(dot_run["ckpt"] / "nets" / f"{n}.ctns") for n in nets] + [str(src)])
 
 
 def test_translate_revision_changes_output(ring_run, tmp_path):

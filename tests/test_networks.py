@@ -66,30 +66,6 @@ class TestSeededInit:
                 assert not p.data.any(), k
 
 
-class TestStateRoundTrip:
-    def test_round_trip(self):
-        net = PointTranslator(seed=1, name="g")
-        st = net.state()
-        other = PointTranslator(seed=99, name="g")
-        other.load_state(st)
-        for k in st:
-            np.testing.assert_array_equal(other.params[k].data, st[k])
-
-    def test_key_mismatch_rejected(self):
-        net = PointTranslator(seed=1, name="g")
-        st = net.state()
-        st.pop("block0.w0")
-        with pytest.raises(KeyError, match="block0.w0"):
-            net.load_state(st)
-
-    def test_shape_mismatch_rejected(self):
-        net = PointTranslator(seed=1, name="g")
-        st = net.state()
-        st["block0.w0"] = np.zeros((3, 3))
-        with pytest.raises(T.ShapeError):
-            net.load_state(st)
-
-
 class TestEnergyModel:
     def test_formula_against_numpy_oracle(self):
         # Replicate the MLP forward with raw numpy and assemble the energy

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import dot_benchmark_config, ring_benchmark_config
-from coopforge import trainer
+from coopforge import rng, trainer
 from coopforge.domains import DomainDescriptor, generate
 from coopforge.evaluation import refinement_scores, run_translator, translate_sequence
 from coopforge.langevin import LangevinConfig, revise
 from coopforge.objectives import LossWeights, clip_frames, sequence_objective, spatiotemporal_loss, temporal_loss
 from coopforge.networks import ImageTranslator, PointTranslator
 from coopforge.rng import data_stream
-from coopforge.tensor import Graph, ShapeError, Tensor, backward
+from coopforge.tensor import Graph, ShapeError, Tensor, backward, load_ctns, save_ctns
 from coopforge.trainer import (
     METRICS_HEADER,
     TrainConfig,
@@ -73,9 +73,11 @@ def all_params(state) -> dict:
 
 
 def all_moments(state) -> dict:
-    return {
-        g: ({k: a.copy() for k, a in s.m.items()}, {k: a.copy() for k, a in s.v.items()}) for g, s in state.opt.items()
-    }
+    return {g: (s.m.copy(), s.v.copy()) for g, s in state.opt.items()}
+
+
+def flat_params(net) -> np.ndarray:
+    return np.concatenate([p.data.ravel() for p in net.params.values()])
 
 
 # ---------------------------------------------------------------- adam_step
@@ -174,11 +176,11 @@ def test_init_state_points():
     assert set(state.opt) == {"ebm_x", "ebm_y", "g_xy", "g_yx"}
     for gname, params in state.groups().items():
         slots = state.opt[gname]
-        for k, p in params.items():
-            # moment buffers mirror parameter shapes exactly
-            assert slots.m[k].shape == p.data.shape
-            assert slots.v[k].shape == p.data.shape
-            assert not slots.m[k].any() and not slots.v[k].any()
+        # one zero float32 vector per moment, as long as all parameters together
+        size = sum(p.data.size for p in params.values())
+        for moment in (slots.m, slots.v):
+            assert moment.shape == (size,) and moment.dtype == np.float32
+            assert not moment.any()
 
 
 def test_init_state_sequences_has_predictors():
@@ -241,8 +243,8 @@ def test_iteration_advances_clock_and_stats():
     ids=["points", "sequences"],
 )
 def test_adam_step_count_is_the_clock(monkeypatch, step, pair, make_cfg):
-    # each iteration steps every parameter of every network exactly once,
-    # and always as Adam step number state.t + 1
+    # each iteration steps every network exactly once, on all its parameters
+    # as one vector, and always as Adam step number state.t + 1
     cfg = make_cfg()
     dsx, dsy = generate(pair[0]), generate(pair[1])
     state = init_state(cfg, dsx, dsy)
@@ -250,19 +252,54 @@ def test_adam_step_count_is_the_clock(monkeypatch, step, pair, make_cfg):
     real = trainer.adam_step
 
     def spy(param, grad, moments, rate, t):
-        calls.append((id(param), t, state.t))
+        calls.append((param.tobytes(), t, state.t))
         return real(param, grad, moments, rate, t)
 
     monkeypatch.setattr(trainer, "adam_step", spy)
     for it in range(3):
-        # every parameter array lives until the iteration ends (the snapshot
-        # holds it), so its id names it; a second step would see a new array
-        owner = {id(p.data): f"{name}.{k}" for name, net in state.nets().items() for k, p in net.params.items()}
+        before = {name: flat_params(net).tobytes() for name, net in state.nets().items()}
         calls.clear()
         step(state, dsx.examples, dsy.examples, cfg)
         assert state.t == it + 1
-        assert sorted(owner.get(i, "?") for i, _, _ in calls) == sorted(owner.values())
+        assert sorted(param for param, _, _ in calls) == sorted(before.values())
         assert all(t == clock + 1 == it + 1 for _, t, clock in calls)
+        # every parameter is a view of its network's one new vector
+        for net in state.nets().values():
+            flat = {id(p.data.base) for p in net.params.values()}
+            assert len(flat) == 1 and None not in flat
+
+
+@pytest.mark.parametrize(
+    "step, pair, make_cfg",
+    [(train_iteration, (RING_X, RING_Y), ring_cfg), (train_sequence_iteration, (DOT_X, DOT_Y), dot_cfg)],
+    ids=["points", "sequences"],
+)
+def test_flat_adam_matches_per_parameter_steps(monkeypatch, step, pair, make_cfg):
+    # Adam is elementwise: one step per network on the concatenated vector
+    # gives bitwise the parameters and moments of one step per tensor
+    cfg = make_cfg()
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    flat, ref = init_state(cfg, dsx, dsy), init_state(cfg, dsx, dsy)
+    for _ in range(3):
+        step(flat, dsx.examples, dsy.examples, cfg)
+
+    moments = {}
+
+    def per_parameter(state, net, grads, rate, phase):
+        for k, p in state.groups()[net].items():
+            zero = np.zeros_like(p.data)
+            p.data, moments[net, k] = adam_step(p.data, grads[k], moments.get((net, k), (zero, zero)), rate, state.t + 1)
+
+    monkeypatch.setattr(trainer, "_apply_adam", per_parameter)
+    for _ in range(3):
+        step(ref, dsx.examples, dsy.examples, cfg)
+    assert all_params(flat).keys() == all_params(ref).keys()
+    for k, a in all_params(ref).items():
+        assert all_params(flat)[k].tobytes() == a.tobytes(), k
+    for name, net in ref.nets().items():
+        for i, slot in enumerate(("m", "v")):
+            expected = np.concatenate([moments[name, k][i].ravel() for k in net.params])
+            assert getattr(flat.opt[name], slot).tobytes() == expected.tobytes(), (name, slot)
 
 
 def test_iteration_rejects_empty_data():
@@ -324,9 +361,8 @@ def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step,
     restored = all_moments(state)
     assert set(restored) == set(moments)
     for g, (m, v) in moments.items():
-        for k in m:
-            assert restored[g][0][k].tobytes() == m[k].tobytes(), (g, k)
-            assert restored[g][1][k].tobytes() == v[k].tobytes(), (g, k)
+        assert restored[g][0].tobytes() == m.tobytes(), g
+        assert restored[g][1].tobytes() == v.tobytes(), g
     assert state.t == 1
 
 
@@ -509,12 +545,14 @@ def test_checkpoint_round_trip(tmp_path):
     assert cfg2 == cfg and dx2 == RING_X and dy2 == RING_Y
     assert loaded.t == 3
     before, after = all_params(state), all_params(loaded)
+    assert before.keys() == after.keys()
     for k in before:
-        np.testing.assert_array_equal(before[k], after[k], err_msg=k)
+        assert before[k].tobytes() == after[k].tobytes(), k
+    # the load reads no moments; they are on disk for a resume
+    assert loaded.opt == {}
     for g, slots in state.opt.items():
-        for k in slots.m:
-            np.testing.assert_array_equal(loaded.opt[g].m[k], slots.m[k])
-            np.testing.assert_array_equal(loaded.opt[g].v[k], slots.v[k])
+        assert load_ctns(root / "adam" / f"{g}.m.ctns").data.tobytes() == slots.m.tobytes(), g
+        assert load_ctns(root / "adam" / f"{g}.v.ctns").data.tobytes() == slots.v.tobytes(), g
 
 
 @pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["points", "sequences"])
@@ -525,8 +563,88 @@ def test_every_record_is_keyed_by_net_name(tmp_path, pair, make_cfg):
     manifest = json.loads((root / "manifest.json").read_text())
     names = set(state.nets())
     assert set(state.groups()) == set(state.opt) == names
-    assert {d.name for d in (root / "nets").iterdir()} == {d.name for d in (root / "adam").iterdir()} == names
+    # three files per network: its parameters and its two moments
+    assert {f.name for f in (root / "nets").iterdir()} == {f"{n}.ctns" for n in names}
+    assert {f.name for f in (root / "adam").iterdir()} == {f"{n}.{s}.ctns" for n in names for s in ("m", "v")}
     assert set(manifest["params"]) == names
+    for name, net in state.nets().items():
+        assert manifest["params"][name] == [[k, list(p.data.shape)] for k, p in net.params.items()]
+    assert manifest["files"] == {
+        str(f.relative_to(root)): f.stat().st_size for f in root.rglob("*.ctns")
+    }
+
+
+def test_checkpoint_write_is_atomic(tmp_path):
+    # the files go into ckpt_<t>.tmp/, a stale one is cleared, and the rename
+    # replaces an older checkpoint of the same iteration
+    cfg = ring_cfg()
+    state = init_state(cfg, generate(RING_X), generate(RING_Y))
+    (tmp_path / "ckpt_0.tmp").mkdir()
+    (tmp_path / "ckpt_0.tmp" / "stale.ctns").write_bytes(b"x")
+    (tmp_path / "ckpt_0").mkdir()
+    (tmp_path / "ckpt_0" / "old.ctns").write_bytes(b"x")
+    root = save_checkpoint(state, cfg, RING_X, RING_Y, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_0"]
+    assert sorted(p.name for p in root.iterdir()) == ["adam", "manifest.json", "nets"]
+
+
+def test_load_rejects_a_truncated_parameter_file(tmp_path):
+    cfg = dot_cfg()
+    root = save_checkpoint(init_state(cfg, generate(DOT_X), generate(DOT_Y)), cfg, DOT_X, DOT_Y, tmp_path)
+    path = root / "nets" / "r_y.ctns"
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ValueError, match=rf"{path}: \d+ bytes, but the manifest lists \d+"):
+        load_checkpoint(root)
+
+
+def test_load_rejects_a_directory_without_manifest(tmp_path):
+    cfg = ring_cfg()
+    root = save_checkpoint(init_state(cfg, generate(RING_X), generate(RING_Y)), cfg, RING_X, RING_Y, tmp_path)
+    (root / "manifest.json").unlink()
+    with pytest.raises(FileNotFoundError, match=f"{root / 'manifest.json'}: missing"):
+        load_checkpoint(root)
+
+
+@pytest.mark.parametrize("defect", ["name", "shape", "length"])
+def test_load_names_the_network_whose_layout_differs(tmp_path, defect):
+    cfg = ring_cfg()
+    root = save_checkpoint(init_state(cfg, generate(RING_X), generate(RING_Y)), cfg, RING_X, RING_Y, tmp_path)
+    manifest = json.loads((root / "manifest.json").read_text())
+    if defect == "name":
+        manifest["params"]["g_yx"][0][0] = "block0.w9"
+    elif defect == "shape":
+        manifest["params"]["g_yx"][0][1] = [3, 64]
+    else:  # a vector one element short, with the manifest's size to match
+        save_ctns(np.zeros(643, dtype=np.float32), root / "nets" / "g_yx.ctns")
+        manifest["files"]["nets/g_yx.ctns"] = (root / "nets" / "g_yx.ctns").stat().st_size
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="g_yx: "):
+        load_checkpoint(root)
+
+
+def test_resume_rejects_a_missing_moment_file(tmp_path):
+    cfg = ring_cfg(iterations=4, eval_every=2, checkpoint_every=2)
+    train(cfg, RING_X, RING_Y, tmp_path)
+    missing = tmp_path / "ckpt_2" / "adam" / "ebm_y.m.ctns"
+    missing.unlink()
+    load_checkpoint(tmp_path / "ckpt_2")  # serving needs no moments
+    with pytest.raises(FileNotFoundError, match=f"{missing}: missing, but the manifest lists it"):
+        train(cfg, RING_X, RING_Y, tmp_path / "b", resume_from=tmp_path / "ckpt_2")
+
+
+@pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["points", "sequences"])
+def test_load_draws_no_initial_weights(tmp_path, monkeypatch, pair, make_cfg):
+    cfg = make_cfg()
+    state = init_state(cfg, generate(pair[0]), generate(pair[1]))
+    root = save_checkpoint(state, cfg, *pair, tmp_path)
+
+    def no_draw(*args):
+        raise AssertionError("an initial weight was drawn")
+
+    monkeypatch.setattr(rng, "init_stream", no_draw)
+    loaded = load_checkpoint(root)[0]
+    for name, net in state.nets().items():
+        assert flat_params(loaded.nets()[name]).tobytes() == flat_params(net).tobytes(), name
 
 
 def test_config_from_dict_inverts_asdict():
