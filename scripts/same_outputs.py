@@ -13,11 +13,11 @@ checkout's ``perfbench/recipes.py`` at seed 5:
 
 Each run also writes ``state.json`` from the state ``train`` returns: the
 clock and, per network, the sha256 of its parameters and of each Adam
-moment, every digest taken over the bytes in ``params`` order. It reads
-the state through names both the flat layout (one moment vector per
-network) and the older one (one moment array per parameter) have, so a
-change of checkpoint layout can still be checked for bitwise equal
-training. ``coopforge eval`` then runs on each final checkpoint,
+moment, every digest taken over the bytes in ``params`` order. A
+network's optimizer slot is read either as an ``(m, v)`` pair of vectors
+or as an object with ``.m`` and ``.v`` vectors, the layout of checkouts
+older than the pair, so a parent of either kind can be checked for
+bitwise equal training. ``coopforge eval`` then runs on each final checkpoint,
 ``coopforge translate --direction x2y`` with the checkpoint's own sampler
 on the first held-out X example, written with ``save_ctns``, and
 ``coopforge sample --domain y --count 8`` with the default sampler. Every
@@ -57,10 +57,9 @@ def state_digest(state) -> dict:
     """The clock and per network the digests of its parameters and moments."""
     nets = {}
     for name, net in state.nets().items():
-        nets[name] = {"params": _sha256(p.data for p in net.params.values())}
-        for slot in ("m", "v"):
-            moment = getattr(state.opt[name], slot)
-            nets[name][slot] = _sha256(moment.values() if isinstance(moment, dict) else [moment])
+        slot = state.opt[name]
+        m, v = slot if isinstance(slot, tuple) else (slot.m, slot.v)
+        nets[name] = {"params": _sha256(p.data for p in net.params.values()), "m": _sha256([m]), "v": _sha256([v])}
     return {"t": state.t, "nets": nets}
 
 

@@ -26,7 +26,6 @@ from .domains import (
     ring_mode_centers,
     ring_mode_std,
     save_ppm,
-    with_count,
 )
 from .evaluation import eval_descriptor, eval_frames, evaluate, rasterize_points, translate_sequence
 from .langevin import LangevinConfig, revise
@@ -294,13 +293,11 @@ def _motion_paired(desc_x: DomainDescriptor, desc_y: DomainDescriptor) -> bool:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    state, cfg, desc_x, desc_y = load_checkpoint(args.checkpoint)
-    desc = desc_x if args.domain == "x" else desc_y
+    state, cfg, _, _ = load_checkpoint(args.checkpoint)
     model = state.ebm_x if args.domain == "x" else state.ebm_y
-    shape = generate(with_count(desc, 3)).sample_shape
     lng = replace(cfg.langevin, **_given(args, _SAMPLER_FLAGS))
     gen = stream(args.seed, PURPOSE_DATA, a=args.count, b=0)
-    x0 = (model.reference_scale * gen.standard_normal((args.count,) + shape)).astype(np.float32)
+    x0 = (model.reference_scale * gen.standard_normal((args.count,) + model.scorer.in_shape)).astype(np.float32)
     samples = revise(x0, model, lng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,7 @@ All parameters are float32 leaves initialized from named counter-based
 streams, so two constructions with the same (seed, name) are identical. A
 network built with seed ``None`` draws nothing: its Gaussian-initialized
 parameters start at zero, for a caller about to load stored values.
+Every network the trainer builds records one sample's shape as ``in_shape``.
 Translators start as the exact identity map: every path that could perturb
 the input ends in a zero-initialized layer, which keeps early training
 stable at batch size 1.
@@ -90,11 +91,11 @@ class Net:
 
 
 class PointScorer(Net):
-    """MLP score function for point clouds: (n, dim) -> (n,)."""
+    """MLP score function for point clouds: (n, dim) -> (n,); ``in_shape`` is (dim,)."""
 
     def __init__(self, dim: int = 2, hidden: tuple = (128, 128), seed: int = 0, name: str = "score", dtype=np.float32):
         super().__init__(name, seed, dtype)
-        self.dim = dim
+        self.in_shape = (dim,)
         widths = (dim,) + tuple(hidden) + (1,)
         self.depth = len(widths) - 1
         for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
@@ -259,13 +260,13 @@ class EnergyModel:
 class PointTranslator(Net):
     """Residual MLP mapping point clouds between domains: (n, d) -> (n, d).
 
-    Each block adds a two-layer correction whose output layer starts at
-    zero, so the whole map is the identity at initialization.
+    ``in_shape`` is (d,). Each block adds a two-layer correction whose
+    output layer starts at zero, so the map is the identity at initialization.
     """
 
     def __init__(self, dim: int = 2, hidden: int = 64, blocks: int = 2, seed: int = 0, name: str = "gen", dtype=np.float32):
         super().__init__(name, seed, dtype)
-        self.dim = dim
+        self.in_shape = (dim,)
         self.blocks = blocks
         for i in range(blocks):
             self._gaussian(f"block{i}.w0", (dim, hidden), fan_in=dim)

@@ -15,8 +15,9 @@ back. Optimizer slots and checkpoint files are keyed by the names of
 iteration, so the iteration clock ``TrainState.t`` is also Adam's step
 count: the step of iteration t is number t + 1. Adam is elementwise, so
 that step runs once on the network's parameters as one flat float32
-vector, in ``params`` order; its moments and its checkpoint files are
-vectors in the same order.
+vector, in ``params`` order; its optimizer slot is the ``(m, v)`` moment
+pair ``adam_step`` takes and returns, and its checkpoint files are vectors
+in the same order.
 
 Everything the loop consumes is keyed by (seed, iteration) through
 counter-based streams, so a checkpoint needs to store only plain integers
@@ -36,7 +37,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import tensor as T
-from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate, parse_descriptor, with_count
+from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate, parse_descriptor
 from .evaluation import eval_descriptor, eval_frames, evaluate, write_grid
 from .langevin import LangevinConfig, LangevinDiverged, revise
 from .metrics import default_feature_map, frechet_distance
@@ -47,7 +48,6 @@ from .tensor import Graph, Tensor, backward, load_ctns, save_ctns
 
 __all__ = [
     "METRICS_HEADER",
-    "AdamSlots",
     "TrainConfig",
     "TrainPhaseError",
     "TrainState",
@@ -101,22 +101,12 @@ class TrainConfig:
 
 
 @dataclass
-class AdamSlots:
-    """First and second moments of one network, each one float32 vector
-    over its parameters flattened in ``params`` order; the step count is the
-    iteration clock (``TrainState.t``). An update rebinds both vectors and
-    never writes them in place."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-
-@dataclass
 class TrainState:
     """The four (or six) networks, their optimizer slots, and the clock.
 
-    ``opt`` is empty in a state from ``load_checkpoint``: only a resumed
-    ``train`` reads the stored moments.
+    ``opt`` maps each ``nets()`` name to the ``(m, v)`` pair of
+    ``adam_step``. It is empty in a state from ``load_checkpoint``: only a
+    resumed ``train`` reads the stored moments.
     """
 
     ebm_x: EnergyModel
@@ -125,7 +115,7 @@ class TrainState:
     g_yx: Net
     r_x: TemporalPredictor | None
     r_y: TemporalPredictor | None
-    opt: dict[str, AdamSlots]
+    opt: dict[str, tuple[np.ndarray, np.ndarray]]
     t: int = 0
     last: dict = field(default_factory=dict)
 
@@ -197,9 +187,9 @@ def _unflatten(params: dict[str, Tensor], flat: np.ndarray) -> None:
         offset += size
 
 
-def _init_slots(net: Net) -> AdamSlots:
+def _init_slots(net: Net) -> tuple[np.ndarray, np.ndarray]:
     size = sum(p.data.size for p in net.params.values())
-    return AdamSlots(m=np.zeros(size, dtype=net.dtype), v=np.zeros(size, dtype=net.dtype))
+    return np.zeros(size, dtype=net.dtype), np.zeros(size, dtype=net.dtype)
 
 
 def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate: float, phase: str) -> None:
@@ -208,15 +198,15 @@ def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate:
     order. Each parameter is then rebound to its view of the new vector, so
     the parameters stay the source of truth. A non-finite result fails
     ``phase``, naming the first offending parameter, and changes nothing."""
-    params, slots = state.groups()[net], state.opt[net]
+    params = state.groups()[net]
     flat, moments = adam_step(
-        _flatten(p.data for p in params.values()), _flatten(grads[k] for k in params), (slots.m, slots.v), rate, state.t + 1
+        _flatten(p.data for p in params.values()), _flatten(grads[k] for k in params), state.opt[net], rate, state.t + 1
     )
     if not np.isfinite(flat).all():
         sizes = np.cumsum([p.data.size for p in params.values()])
         bad = list(params)[int(np.searchsorted(sizes, np.argmin(np.isfinite(flat)), side="right"))]
         raise TrainPhaseError(phase, f"non-finite parameter {net}.{bad} after update")
-    slots.m, slots.v = moments
+    state.opt[net] = moments
     _unflatten(params, flat)
 
 
@@ -225,17 +215,10 @@ def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate:
 # ---------------------------------------------------------------------------
 
 
-def _build_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset, seed: int | None) -> TrainState:
-    """The networks for a dataset pair, drawn from ``seed`` (left at zero
-    where a draw would go if it is None), with no optimizer slots."""
-    if ds_x.kind != ds_y.kind:
-        raise ValueError(f"domain kinds differ: {ds_x.kind} vs {ds_y.kind}")
-    if ds_x.sample_shape != ds_y.sample_shape:
-        raise T.ShapeError(f"sample shapes differ: {ds_x.sample_shape} vs {ds_y.sample_shape}")
-    shape = ds_x.sample_shape
-    sequence = ds_x.kind == "sequences"
-    if sequence and (length := min(ds_x.examples.shape[1], ds_y.examples.shape[1])) < cfg.k + 1:
-        raise ValueError(f"k = {cfg.k} needs clips of k+1 = {cfg.k + 1} frames, but sequences have length {length}")
+def _build_state(cfg: TrainConfig, shape: tuple, sequence: bool, seed: int | None) -> TrainState:
+    """The networks for samples of ``shape``, with temporal predictors if
+    ``sequence`` is set, drawn from ``seed`` (left at zero where a draw
+    would go if it is None), with no optimizer slots."""
     ebm_x = EnergyModel(build_scorer(shape, seed=seed, name="ebm_x"))
     ebm_y = EnergyModel(build_scorer(shape, seed=seed, name="ebm_y"))
     g_xy = build_translator(shape, seed=seed, name="g_xy")
@@ -248,28 +231,33 @@ def _build_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset, see
 
 
 def init_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset) -> TrainState:
-    """Seeded networks and zeroed optimizer slots for a dataset pair."""
-    state = _build_state(cfg, ds_x, ds_y, cfg.seed)
+    """Seeded networks and zeroed optimizer slots for a dataset pair of one kind and sample shape."""
+    if ds_x.kind != ds_y.kind:
+        raise ValueError(f"domain kinds differ: {ds_x.kind} vs {ds_y.kind}")
+    if ds_x.sample_shape != ds_y.sample_shape:
+        raise T.ShapeError(f"sample shapes differ: {ds_x.sample_shape} vs {ds_y.sample_shape}")
+    sequence = ds_x.kind == "sequences"
+    if sequence and (length := min(ds_x.examples.shape[1], ds_y.examples.shape[1])) < cfg.k + 1:
+        raise ValueError(f"k = {cfg.k} needs clips of k+1 = {cfg.k + 1} frames, but sequences have length {length}")
+    state = _build_state(cfg, ds_x.sample_shape, sequence, cfg.seed)
     state.opt = {name: _init_slots(net) for name, net in state.nets().items()}
     return state
 
 
 def _snapshot(state: TrainState):
-    """References to every parameter array and moment vector. They suffice:
-    ``adam_step`` is pure and ``_apply_adam`` rebinds ``p.data`` and both
-    moment vectors, so an iteration never writes these arrays."""
+    """References to every parameter array and moment pair. They suffice:
+    ``adam_step`` is pure and ``_apply_adam`` rebinds ``p.data`` and
+    replaces the pair, so an iteration never writes these arrays."""
     params = {g: {k: p.data for k, p in ps.items()} for g, ps in state.groups().items()}
-    moments = {g: (s.m, s.v) for g, s in state.opt.items()}
-    return params, moments
+    return params, dict(state.opt)
 
 
 def _rollback(state: TrainState, snap) -> None:
-    params, moments = snap
+    params, opt = snap
     for g, ps in state.groups().items():
         for k, p in ps.items():
             p.data = params[g][k]
-    for g, s in state.opt.items():
-        s.m, s.v = moments[g]
+    state.opt.update(opt)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +393,8 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
     parameters), adam/<net>.m.ctns and adam/<net>.v.ctns (the moments).
 
     The manifest lists each network's ``[name, shape]`` pairs in parameter
-    order, which fixes every parameter's offset, and each file's byte size.
+    order, which fixes every parameter's offset, each file's byte size, and
+    ``sample_shape``, the networks' ``in_shape``.
     Its iteration and the seeds in its config are the complete sampling
     state: every stream the loop touches is a pure function of them. The
     iteration is also the count of Adam steps each network has taken.
@@ -422,9 +411,9 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
     (tmp / "adam").mkdir()
     files = {}
     for name, net in state.nets().items():
-        slots = state.opt[name]
+        m, v = state.opt[name]
         vectors = {f"nets/{name}.ctns": _flatten(p.data for p in net.params.values())}
-        vectors.update({f"adam/{name}.m.ctns": slots.m, f"adam/{name}.v.ctns": slots.v})
+        vectors.update({f"adam/{name}.m.ctns": m, f"adam/{name}.v.ctns": v})
         for rel, flat in vectors.items():
             save_ctns(flat, tmp / rel)
             files[rel] = (tmp / rel).stat().st_size
@@ -435,6 +424,7 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
         "domain_y": descriptor_line(desc_y),
         "params": {n: _layout(net) for n, net in state.nets().items()},
         "files": files,
+        "sample_shape": list(state.g_xy.in_shape),
     }
     (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     if root.exists():
@@ -448,11 +438,18 @@ def _layout(net: Net) -> list:
     return [[k, list(p.data.shape)] for k, p in net.params.items()]
 
 
+_MANIFEST_KEYS = ("iteration", "config", "domain_x", "domain_y", "params", "files", "sample_shape")
+
+
 def _read_manifest(root: Path) -> dict:
+    """The manifest of ckpt_{t}/, with every key the loaders read."""
     path = root / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"{path}: missing; a checkpoint is complete only once its manifest is written")
-    return json.loads(path.read_text())
+    manifest = json.loads(path.read_text())
+    if missing := [k for k in _MANIFEST_KEYS if k not in manifest]:
+        raise ValueError(f"{path}: no {', '.join(missing)}; checkpoints from before manifests had sample_shape do not load")
+    return manifest
 
 
 def _read_vector(root: Path, files: dict, rel: str, net: Net) -> np.ndarray:
@@ -485,18 +482,19 @@ def config_from_dict(cls, d: dict):
 def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, DomainDescriptor]:
     """Rebuild the networks and the clock from ckpt_{t}/.
 
-    The networks are built without drawing initial weights, and each reads
-    its one parameter vector; a name, shape or length that differs from the
-    stored one fails, naming the network. No moments are read, so
-    ``state.opt`` is empty; ``train`` reads them when it resumes.
+    The manifest alone fixes the networks: its ``sample_shape``, and its
+    ``r_x`` layout for the temporal predictors. No data is generated and no
+    initial weights are drawn; each network reads its one parameter
+    vector, and a name, shape or length that differs from the stored one
+    fails, naming the network. No moments are read, so ``state.opt`` is
+    empty; ``train`` reads them when it resumes.
     """
     root = Path(path)
     manifest = _read_manifest(root)
     cfg = config_from_dict(TrainConfig, manifest["config"])
     desc_x = parse_descriptor(manifest["domain_x"])
     desc_y = parse_descriptor(manifest["domain_y"])
-    # three examples per domain fix the networks' shapes; the data is not needed
-    state = _build_state(cfg, generate(with_count(desc_x, 3)), generate(with_count(desc_y, 3)), seed=None)
+    state = _build_state(cfg, tuple(manifest["sample_shape"]), "r_x" in manifest["params"], seed=None)
     for name, net in state.nets().items():
         stored = manifest["params"].get(name)
         if stored != _layout(net):
@@ -506,11 +504,11 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, Do
     return state, cfg, desc_x, desc_y
 
 
-def _read_slots(root: Path, state: TrainState) -> dict[str, AdamSlots]:
-    """Each network's Adam moments, read from ckpt_{t}/adam/."""
+def _read_slots(root: Path, state: TrainState) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each network's Adam moments ``(m, v)``, read from ckpt_{t}/adam/."""
     files = _read_manifest(root)["files"]
     return {
-        name: AdamSlots(*(_read_vector(root, files, f"adam/{name}.{s}.ctns", net) for s in ("m", "v")))
+        name: tuple(_read_vector(root, files, f"adam/{name}.{s}.ctns", net) for s in ("m", "v"))
         for name, net in state.nets().items()
     }
 

@@ -1,6 +1,7 @@
 """Command-line contract tests: config parsing, artifacts, exit codes."""
 
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -399,6 +400,21 @@ def test_translate_zero_steps_rejects_non_finite_output(tmp_path, capsys):
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "moved" / "input.ctns").exists()
+
+
+def test_translate_refuses_a_manifest_without_sample_shape(tmp_path, capsys):
+    dx, dy = parse_descriptor(RING_X_LINE), parse_descriptor(RING_Y_LINE)
+    cfg = TrainConfig(iterations=1, eval_samples=20)
+    root = save_checkpoint(init_state(cfg, generate(dx), generate(dy)), cfg, dx, dy, tmp_path)
+    manifest = json.loads((root / "manifest.json").read_text())
+    del manifest["sample_shape"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    src = tmp_path / "input.ctns"
+    save_ctns(generate(dx).examples[:4], src)
+    rc = main(["translate", "--checkpoint", str(root), "--input", str(src), "--direction", "x2y", "--out", str(tmp_path / "moved")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{root / 'manifest.json'}: no sample_shape; checkpoints from before manifests had sample_shape" in err
 
 
 def test_translate_frame_directory(dot_run, tmp_path):

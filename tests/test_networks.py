@@ -209,10 +209,14 @@ class TestGradientsThroughNetworks:
 
 class TestFactoriesAndScale:
     def test_build_by_shape(self):
-        assert isinstance(build_scorer((2,), 0, "s"), PointScorer)
-        assert isinstance(build_scorer((1, 16, 16), 0, "s"), ImageScorer)
-        assert isinstance(build_translator((2,), 0, "g"), PointTranslator)
-        assert isinstance(build_translator((3, 16, 16), 0, "g"), ImageTranslator)
+        for build, shape, cls in (
+            (build_scorer, (2,), PointScorer),
+            (build_scorer, (1, 16, 16), ImageScorer),
+            (build_translator, (2,), PointTranslator),
+            (build_translator, (3, 16, 16), ImageTranslator),
+        ):
+            net = build(shape, 0, "n")
+            assert isinstance(net, cls) and net.in_shape == shape
         with pytest.raises(T.ShapeError):
             build_scorer((2, 2), 0, "s")
 

@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import dot_benchmark_config, ring_benchmark_config
-from coopforge import rng, trainer
+from coopforge import cli, rng, trainer
 from coopforge.domains import DomainDescriptor, generate
 from coopforge.evaluation import refinement_scores, run_translator, translate_sequence
 from coopforge.langevin import LangevinConfig, revise
@@ -73,7 +74,7 @@ def all_params(state) -> dict:
 
 
 def all_moments(state) -> dict:
-    return {g: (s.m.copy(), s.v.copy()) for g, s in state.opt.items()}
+    return {g: (m.copy(), v.copy()) for g, (m, v) in state.opt.items()}
 
 
 def flat_params(net) -> np.ndarray:
@@ -175,10 +176,10 @@ def test_init_state_points():
     assert state.r_x is None and state.r_y is None
     assert set(state.opt) == {"ebm_x", "ebm_y", "g_xy", "g_yx"}
     for gname, params in state.groups().items():
-        slots = state.opt[gname]
-        # one zero float32 vector per moment, as long as all parameters together
+        # an (m, v) pair of zero float32 vectors, each as long as all parameters together
         size = sum(p.data.size for p in params.values())
-        for moment in (slots.m, slots.v):
+        assert len(state.opt[gname]) == 2
+        for moment in state.opt[gname]:
             assert moment.shape == (size,) and moment.dtype == np.float32
             assert not moment.any()
 
@@ -299,7 +300,7 @@ def test_flat_adam_matches_per_parameter_steps(monkeypatch, step, pair, make_cfg
     for name, net in ref.nets().items():
         for i, slot in enumerate(("m", "v")):
             expected = np.concatenate([moments[name, k][i].ravel() for k in net.params])
-            assert getattr(flat.opt[name], slot).tobytes() == expected.tobytes(), (name, slot)
+            assert flat.opt[name][i].tobytes() == expected.tobytes(), (name, slot)
 
 
 def test_iteration_rejects_empty_data():
@@ -550,17 +551,19 @@ def test_checkpoint_round_trip(tmp_path):
         assert before[k].tobytes() == after[k].tobytes(), k
     # the load reads no moments; they are on disk for a resume
     assert loaded.opt == {}
-    for g, slots in state.opt.items():
-        assert load_ctns(root / "adam" / f"{g}.m.ctns").data.tobytes() == slots.m.tobytes(), g
-        assert load_ctns(root / "adam" / f"{g}.v.ctns").data.tobytes() == slots.v.tobytes(), g
+    for g, (m, v) in state.opt.items():
+        assert load_ctns(root / "adam" / f"{g}.m.ctns").data.tobytes() == m.tobytes(), g
+        assert load_ctns(root / "adam" / f"{g}.v.ctns").data.tobytes() == v.tobytes(), g
 
 
 @pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["points", "sequences"])
 def test_every_record_is_keyed_by_net_name(tmp_path, pair, make_cfg):
     cfg = make_cfg()
-    state = init_state(cfg, generate(pair[0]), generate(pair[1]))
+    ds = generate(pair[0])
+    state = init_state(cfg, ds, generate(pair[1]))
     root = save_checkpoint(state, cfg, *pair, tmp_path)
     manifest = json.loads((root / "manifest.json").read_text())
+    assert manifest["sample_shape"] == list(ds.sample_shape)
     names = set(state.nets())
     assert set(state.groups()) == set(state.opt) == names
     # three files per network: its parameters and its two moments
@@ -619,6 +622,17 @@ def test_load_names_the_network_whose_layout_differs(tmp_path, defect):
         manifest["files"]["nets/g_yx.ctns"] = (root / "nets" / "g_yx.ctns").stat().st_size
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="g_yx: "):
+        load_checkpoint(root)
+
+
+def test_load_refuses_a_manifest_without_sample_shape(tmp_path):
+    cfg = ring_cfg()
+    root = save_checkpoint(init_state(cfg, generate(RING_X), generate(RING_Y)), cfg, RING_X, RING_Y, tmp_path)
+    manifest = json.loads((root / "manifest.json").read_text())
+    del manifest["sample_shape"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    message = f"{root / 'manifest.json'}: no sample_shape; checkpoints from before manifests had sample_shape do not load"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(root)
 
 
@@ -743,19 +757,23 @@ def test_resume_drops_partly_written_last_row(tmp_path, cut):
     assert strip(path.read_text()) == uninterrupted
 
 
-@pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["ring", "dot"])
-def test_load_checkpoint_generates_only_a_few_examples(tmp_path, monkeypatch, pair, make_cfg):
+@pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["points", "sequences"])
+def test_load_and_sample_generate_no_data(tmp_path, monkeypatch, pair, make_cfg):
+    # the manifest fixes the networks and the model fixes the sample shape
     cfg = make_cfg()
     root = save_checkpoint(init_state(cfg, generate(pair[0]), generate(pair[1])), cfg, *pair, tmp_path)
-    counts = []
+    calls = []
 
     def spy(desc):
-        counts.append(desc.params.get("n", desc.params.get("n_seqs")))
+        calls.append(desc)
         return generate(desc)
 
-    monkeypatch.setattr(trainer, "generate", spy)
+    for module in (trainer, cli):
+        monkeypatch.setattr(module, "generate", spy)
     load_checkpoint(root)
-    assert len(counts) == 2 and max(counts) <= 3
+    assert cli.main(["sample", "--checkpoint", str(root), "--domain", "y", "--count", "2", "--out", str(tmp_path / "s")]) == 0
+    assert calls == []
+    assert load_ctns(tmp_path / "s" / "samples.ctns").data.shape == (2,) + generate(pair[1]).sample_shape
 
 
 def test_resume_rejects_other_config(tmp_path):
