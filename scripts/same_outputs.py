@@ -13,16 +13,12 @@ checkout's ``perfbench/recipes.py`` at seed 5:
 
 Each run also writes ``state.json`` from the state ``train`` returns: the
 clock and, per network, the sha256 of its parameters and of each Adam
-moment, every digest taken over the bytes in ``params`` order. A
-network's optimizer slot is read either as an ``(m, v)`` pair of vectors
-or as an object with ``.m`` and ``.v`` vectors, the layout of checkouts
-older than the pair, so a parent of either kind can be checked for
-bitwise equal training. ``coopforge eval`` then runs on each final checkpoint,
-``coopforge translate --direction x2y`` with the checkpoint's own sampler
-on the first held-out X example, written with ``save_ctns``, and
-``coopforge sample --domain y --count 8`` with the default sampler. Every
-file a side wrote is hashed, ``metrics.csv`` with its ``seconds`` column
-dropped.
+moment, every digest taken over the bytes in ``params`` order.
+``coopforge eval`` then runs on each final checkpoint, ``coopforge
+translate --direction x2y`` with the checkpoint's own sampler on the first
+held-out X example, written with ``save_ctns``, and ``coopforge sample
+--domain y --count 8`` with the default sampler. Every file a side wrote
+is hashed, ``metrics.csv`` with its ``seconds`` column dropped.
 
 The script prints each file that differs and exits 1 if any do. A file
 found on one side only whose hash equals that of a file found on the other
@@ -57,8 +53,7 @@ def state_digest(state) -> dict:
     """The clock and per network the digests of its parameters and moments."""
     nets = {}
     for name, net in state.nets().items():
-        slot = state.opt[name]
-        m, v = slot if isinstance(slot, tuple) else (slot.m, slot.v)
+        m, v = state.opt[name]
         nets[name] = {"params": _sha256(p.data for p in net.params.values()), "m": _sha256([m]), "v": _sha256([v])}
     return {"t": state.t, "nets": nets}
 

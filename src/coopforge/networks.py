@@ -6,6 +6,7 @@ streams, so two constructions with the same (seed, name) are identical. A
 network built with seed ``None`` draws nothing: its Gaussian-initialized
 parameters start at zero, for a caller about to load stored values.
 Every network the trainer builds records one sample's shape as ``in_shape``.
+Its parameters are views of one flat ``vector``, rebound only by ``load``.
 Translators start as the exact identity map: every path that could perturb
 the input ends in a zero-initialized layer, which keeps early training
 stable at batch size 1.
@@ -37,7 +38,9 @@ class Net:
     """Parameter bookkeeping shared by every network.
 
     ``params`` maps dotted names to requires_grad leaves; insertion order is
-    the canonical parameter order for optimizers and checkpoints.
+    the canonical parameter order for optimizers and checkpoints. ``vector``
+    holds every parameter in that order, and each ``params[k].data`` is a
+    view of it.
     """
 
     def __init__(self, name: str, seed: int | None, dtype=np.float32):
@@ -45,6 +48,28 @@ class Net:
         self.seed = None if seed is None else int(seed)
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
+        self._vector: np.ndarray | None = None
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The flat parameter vector, packed by one concatenation on the first read."""
+        if self._vector is None:
+            parts = [p.data.ravel() for p in self.params.values()]
+            self.load(np.concatenate(parts) if parts else np.zeros(0, self.dtype))
+        return self._vector
+
+    def load(self, vector: np.ndarray) -> None:
+        """Make ``vector`` (taken, not copied) the parameters: each
+        ``params[k].data`` becomes its reshaped view of it, in ``params`` order."""
+        size = sum(p.data.size for p in self.params.values())
+        if vector.shape != (size,) or vector.dtype != self.dtype:
+            raise ValueError(f"{self.name}: got a {vector.dtype} vector of shape {vector.shape}, the network needs {self.dtype} ({size},)")
+        offset = 0
+        for p in self.params.values():
+            n = p.data.size
+            p.data = vector[offset : offset + n].reshape(p.data.shape)
+            offset += n
+        self._vector = vector
 
     def _gaussian(self, local: str, shape: tuple, fan_in: int) -> Tensor:
         if self.seed is None:
@@ -80,9 +105,6 @@ class Net:
         finally:
             for p in frozen:
                 p.requires_grad = True
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {k: p.data.copy() for k, p in self.params.items()}
 
 
 # ---------------------------------------------------------------------------

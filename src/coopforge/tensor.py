@@ -23,7 +23,6 @@ __all__ = [
     "Graph",
     "ShapeError",
     "backward",
-    "apply",
     "OPS",
     "narrow",
     "conv2d",
@@ -593,13 +592,6 @@ OPS = {
     "conv2d": conv2d,
     "conv2d_transpose": conv2d_transpose,
 }
-
-
-def apply(op_kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an op by catalog name."""
-    if op_kind not in OPS:
-        raise KeyError(f"unknown op kind {op_kind!r}; catalog: {sorted(OPS)}")
-    return OPS[op_kind](*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ back. Optimizer slots and checkpoint files are keyed by the names of
 ``TrainState.nets()``. Every network takes exactly one Adam step per
 iteration, so the iteration clock ``TrainState.t`` is also Adam's step
 count: the step of iteration t is number t + 1. Adam is elementwise, so
-that step runs once on the network's parameters as one flat float32
-vector, in ``params`` order; its optimizer slot is the ``(m, v)`` moment
-pair ``adam_step`` takes and returns, and its checkpoint files are vectors
-in the same order.
+that step runs once on the network's ``vector``, the flat float32 array
+its parameters are views of, and the network then loads the result; its
+optimizer slot is the ``(m, v)`` moment pair ``adam_step`` takes and
+returns, and its checkpoint files are vectors in the same order.
 
 Everything the loop consumes is keyed by (seed, iteration) through
 counter-based streams, so a checkpoint needs to store only plain integers
@@ -173,41 +173,20 @@ def adam_step(
     return param - rate * m_hat / (np.sqrt(v_hat) + _EPS), (m, v)
 
 
-def _flatten(arrays) -> np.ndarray:
-    """One vector of ``arrays`` raveled and concatenated in order."""
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _unflatten(params: dict[str, Tensor], flat: np.ndarray) -> None:
-    """Rebind each parameter to its view of ``flat``, in ``params`` order."""
-    offset = 0
-    for p in params.values():
-        size = p.data.size
-        p.data = flat[offset : offset + size].reshape(p.data.shape)
-        offset += size
-
-
-def _init_slots(net: Net) -> tuple[np.ndarray, np.ndarray]:
-    size = sum(p.data.size for p in net.params.values())
-    return np.zeros(size, dtype=net.dtype), np.zeros(size, dtype=net.dtype)
-
-
 def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate: float, phase: str) -> None:
     """Adam step number ``state.t + 1`` of the network ``net``, taken once on
-    its parameters and the per-leaf ``grads`` concatenated in ``params``
-    order. Each parameter is then rebound to its view of the new vector, so
-    the parameters stay the source of truth. A non-finite result fails
+    its vector and the per-leaf ``grads`` concatenated in ``params`` order;
+    the network then loads the new vector. A non-finite result fails
     ``phase``, naming the first offending parameter, and changes nothing."""
-    params = state.groups()[net]
-    flat, moments = adam_step(
-        _flatten(p.data for p in params.values()), _flatten(grads[k] for k in params), state.opt[net], rate, state.t + 1
-    )
+    model = state.nets()[net]
+    grad = np.concatenate([grads[k].ravel() for k in model.params])
+    flat, moments = adam_step(model.vector, grad, state.opt[net], rate, state.t + 1)
     if not np.isfinite(flat).all():
-        sizes = np.cumsum([p.data.size for p in params.values()])
-        bad = list(params)[int(np.searchsorted(sizes, np.argmin(np.isfinite(flat)), side="right"))]
+        sizes = np.cumsum([p.data.size for p in model.params.values()])
+        bad = list(model.params)[int(np.searchsorted(sizes, np.argmin(np.isfinite(flat)), side="right"))]
         raise TrainPhaseError(phase, f"non-finite parameter {net}.{bad} after update")
     state.opt[net] = moments
-    _unflatten(params, flat)
+    model.load(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +219,21 @@ def init_state(cfg: TrainConfig, ds_x: DomainDataset, ds_y: DomainDataset) -> Tr
     if sequence and (length := min(ds_x.examples.shape[1], ds_y.examples.shape[1])) < cfg.k + 1:
         raise ValueError(f"k = {cfg.k} needs clips of k+1 = {cfg.k + 1} frames, but sequences have length {length}")
     state = _build_state(cfg, ds_x.sample_shape, sequence, cfg.seed)
-    state.opt = {name: _init_slots(net) for name, net in state.nets().items()}
+    state.opt = {name: (np.zeros_like(net.vector), np.zeros_like(net.vector)) for name, net in state.nets().items()}
     return state
 
 
 def _snapshot(state: TrainState):
-    """References to every parameter array and moment pair. They suffice:
-    ``adam_step`` is pure and ``_apply_adam`` rebinds ``p.data`` and
-    replaces the pair, so an iteration never writes these arrays."""
-    params = {g: {k: p.data for k, p in ps.items()} for g, ps in state.groups().items()}
-    return params, dict(state.opt)
+    """References to every network's vector and moment pair. They suffice:
+    ``adam_step`` is pure and ``_apply_adam`` loads its result as a new
+    vector and replaces the pair, so an iteration never writes these arrays."""
+    return {name: net.vector for name, net in state.nets().items()}, dict(state.opt)
 
 
 def _rollback(state: TrainState, snap) -> None:
-    params, opt = snap
-    for g, ps in state.groups().items():
-        for k, p in ps.items():
-            p.data = params[g][k]
+    vectors, opt = snap
+    for name, net in state.nets().items():
+        net.load(vectors[name])
     state.opt.update(opt)
 
 
@@ -412,7 +389,7 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
     files = {}
     for name, net in state.nets().items():
         m, v = state.opt[name]
-        vectors = {f"nets/{name}.ctns": _flatten(p.data for p in net.params.values())}
+        vectors = {f"nets/{name}.ctns": net.vector}
         vectors.update({f"adam/{name}.m.ctns": m, f"adam/{name}.v.ctns": v})
         for rel, flat in vectors.items():
             save_ctns(flat, tmp / rel)
@@ -452,19 +429,14 @@ def _read_manifest(root: Path) -> dict:
     return manifest
 
 
-def _read_vector(root: Path, files: dict, rel: str, net: Net) -> np.ndarray:
-    """The flat vector stored at ``rel``, checked against the manifest's byte
-    size and against the length and dtype of ``net``'s parameters."""
+def _read_vector(root: Path, files: dict, rel: str) -> np.ndarray:
+    """The flat vector stored at ``rel``, checked against the manifest's byte size."""
     path = root / rel
     if not path.is_file():
         raise FileNotFoundError(f"{path}: missing, but the manifest lists it")
     if (on_disk := path.stat().st_size) != files.get(rel):
         raise ValueError(f"{path}: {on_disk} bytes, but the manifest lists {files.get(rel)}")
-    flat = load_ctns(path).data
-    size = sum(p.data.size for p in net.params.values())
-    if flat.shape != (size,) or flat.dtype != net.dtype:
-        raise ValueError(f"{net.name}: {path} holds {flat.dtype} {flat.shape}, the network needs {net.dtype} ({size},)")
-    return flat
+    return load_ctns(path).data
 
 
 _field_types = functools.cache(get_type_hints)  # resolved once per config class, not per load
@@ -484,8 +456,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, Do
 
     The manifest alone fixes the networks: its ``sample_shape``, and its
     ``r_x`` layout for the temporal predictors. No data is generated and no
-    initial weights are drawn; each network reads its one parameter
-    vector, and a name, shape or length that differs from the stored one
+    initial weights are drawn; each network loads its one stored vector,
+    and a name, shape, length or dtype that differs from the network's
     fails, naming the network. No moments are read, so ``state.opt`` is
     empty; ``train`` reads them when it resumes.
     """
@@ -499,18 +471,22 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig, DomainDescriptor, Do
         stored = manifest["params"].get(name)
         if stored != _layout(net):
             raise ValueError(f"{name}: checkpoint parameters {stored} do not match the network's {_layout(net)}")
-        _unflatten(net.params, _read_vector(root, manifest["files"], f"nets/{name}.ctns", net))
+        net.load(_read_vector(root, manifest["files"], f"nets/{name}.ctns"))
     state.t = manifest["iteration"]
     return state, cfg, desc_x, desc_y
 
 
 def _read_slots(root: Path, state: TrainState) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each network's Adam moments ``(m, v)``, read from ckpt_{t}/adam/."""
+    """Each network's Adam moments ``(m, v)``, read from ckpt_{t}/adam/; a
+    moment whose length or dtype differs from the network's vector fails,
+    naming the network."""
     files = _read_manifest(root)["files"]
-    return {
-        name: tuple(_read_vector(root, files, f"adam/{name}.{s}.ctns", net) for s in ("m", "v"))
-        for name, net in state.nets().items()
-    }
+    slots = {}
+    for name, net in state.nets().items():
+        slots[name] = tuple(_read_vector(root, files, f"adam/{name}.{s}.ctns") for s in ("m", "v"))
+        if any(a.shape != net.vector.shape or a.dtype != net.dtype for a in slots[name]):
+            raise ValueError(f"{name}: moments in {root / 'adam'} do not match the network's {net.dtype} {net.vector.shape}")
+    return slots
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def _leaf(rng_, shape, keep_off_kinks=False):
 
 def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
     # Asymmetric weights stop opposite-sign gradient errors from cancelling
-    return T.apply("mul", t, Tensor(w)).sum()
+    return T.OPS["mul"](t, Tensor(w)).sum()
 
 
 def _operator_cases(rng_):
@@ -100,10 +100,10 @@ def _operator_cases(rng_):
 
     return {
         "add": ({"a": a, "b": b}, lambda: _weighted_sum(a + b, w32)),
-        "sub": ({"a": a, "b": b}, lambda: _weighted_sum(T.apply("sub", a, b), w32)),
-        "mul": ({"a": a, "b": b}, lambda: _weighted_sum(T.apply("mul", a, b), w32)),
+        "sub": ({"a": a, "b": b}, lambda: _weighted_sum(T.OPS["sub"](a, b), w32)),
+        "mul": ({"a": a, "b": b}, lambda: _weighted_sum(T.OPS["mul"](a, b), w32)),
         "neg": ({"a": a}, lambda: _weighted_sum(-a, w32)),
-        "abs": ({"k": k1}, lambda: _weighted_sum(T.apply("abs", k1), w32)),
+        "abs": ({"k": k1}, lambda: _weighted_sum(T.OPS["abs"](k1), w32)),
         "square": ({"a": a}, lambda: _weighted_sum(a.square(), w32)),
         "leaky_relu": ({"k": k3}, lambda: _weighted_sum(T.leaky_relu(k3, 0.2), w23)),
         "sum": ({"a": a}, lambda: a.sum()),

@@ -389,7 +389,7 @@ def test_translate_zero_steps_rejects_non_finite_output(tmp_path, capsys):
     cfg = TrainConfig(iterations=1, eval_samples=20)
     state = init_state(cfg, generate(dx), generate(dy))
     weight = next(iter(state.g_xy.params.values()))
-    weight.data = np.full_like(weight.data, np.nan)
+    weight.data[...] = np.nan
     save_checkpoint(state, cfg, dx, dy, tmp_path)
     src = tmp_path / "input.ctns"
     save_ctns(generate(dx).examples[:4], src)

@@ -1,7 +1,8 @@
 """Module boundaries: no coopforge module imports another module's private names,
 only the trainer imports the training losses, metrics import nothing of
 coopforge but its random streams, gradients travel only as ``backward``'s
-return value, and every name the benchmark's tracer wraps still exists."""
+return value, only ``Net.load`` rebinds a parameter, and every name the
+benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -57,6 +58,31 @@ def test_no_module_keeps_gradient_buffers():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and node.attr in ("grad", "zero_grad", "accumulate_grad"):
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert offenders == []
+
+
+def _data_stores(node, scope=()) -> list[tuple[str, int]]:
+    """(enclosing class/function path, line) of every ``<x>.data`` assignment target under ``node``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _data_stores(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "data" and isinstance(child.ctx, ast.Store):
+            found.append((".".join(scope), child.lineno))
+        found += _data_stores(child, scope)
+    return found
+
+
+def test_only_net_load_rebinds_parameters():
+    # a parameter is a view of its network's vector; rebinding its data
+    # anywhere but Net.load would detach it from the vector Adam steps
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, line in _data_stores(ast.parse(path.read_text(), filename=str(path))):
+            if (path.name, scope.split(".")[0]) == ("tensor.py", "Tensor") or (path.name, scope) == ("networks.py", "Net.load"):
+                continue
+            offenders.append(f"{path.name}:{line} {scope}")
     assert offenders == []
 
 

@@ -17,6 +17,7 @@ from coopforge.networks import (
     build_translator,
 )
 from coopforge.tensor import Tensor, grad_check
+from util import assert_params_view_vector
 
 
 class TestIdentityInit:
@@ -42,11 +43,10 @@ class TestIdentityInit:
 
 class TestSeededInit:
     def test_same_seed_same_params(self):
-        a = PointScorer(seed=5, name="s").state()
-        b = PointScorer(seed=5, name="s").state()
-        assert set(a) == set(b)
-        for k in a:
-            np.testing.assert_array_equal(a[k], b[k])
+        a = PointScorer(seed=5, name="s")
+        b = PointScorer(seed=5, name="s")
+        assert list(a.params) == list(b.params)
+        assert a.vector.tobytes() == b.vector.tobytes()
 
     def test_name_separates_streams(self):
         a = PointScorer(seed=5, name="s_x")
@@ -64,6 +64,36 @@ class TestSeededInit:
         for k, p in net.params.items():
             if k.endswith(".b"):
                 assert not p.data.any(), k
+
+
+class TestParameterVector:
+    NETS = {
+        "point": lambda: PointScorer(hidden=(8, 8), seed=1, name="s"),
+        "image": lambda: ImageTranslator(in_shape=(1, 8, 8), base=4, blocks=1, seed=1, name="g"),
+        "temporal": lambda: TemporalPredictor(in_shape=(1, 8, 8), k=2, base=4, seed=1, name="r"),
+    }
+
+    @pytest.mark.parametrize("kind", NETS)
+    def test_first_read_packs_the_parameters_in_order(self, kind):
+        net = self.NETS[kind]()
+        before = [p.data.copy() for p in net.params.values()]
+        assert net.vector.dtype == np.float32
+        assert net.vector.tobytes() == b"".join(a.tobytes() for a in before)
+        assert_params_view_vector(net)
+        assert net.vector is net.vector
+
+    def test_load_rejects_another_length_or_dtype(self):
+        net = PointTranslator(dim=2, hidden=4, blocks=1, seed=0, name="g_xy")
+        kept = net.vector
+        for bad in (np.zeros(kept.size + 1, np.float32), np.zeros(kept.size, np.float64), np.zeros((1, kept.size), np.float32)):
+            with pytest.raises(ValueError, match=rf"g_xy: got a {bad.dtype} vector of shape \({bad.shape[0]},"):
+                net.load(bad)
+        assert net.vector is kept
+        assert_params_view_vector(net)
+
+    def test_zero_scorer_vector_is_empty(self):
+        vector = ZeroScorer().vector
+        assert vector.shape == (0,) and vector.dtype == np.float32
 
 
 class TestEnergyModel:

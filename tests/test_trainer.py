@@ -30,6 +30,7 @@ from coopforge.trainer import (
     train_iteration,
     train_sequence_iteration,
 )
+from util import assert_params_view_vector
 
 RING_X = DomainDescriptor(
     "ring", {"n": 64, "modes": 8, "radius": 1.6, "mode_std": 0.15, "rotation": 0.0, "scale": 1.0}, seed=1
@@ -266,8 +267,7 @@ def test_adam_step_count_is_the_clock(monkeypatch, step, pair, make_cfg):
         assert all(t == clock + 1 == it + 1 for _, t, clock in calls)
         # every parameter is a view of its network's one new vector
         for net in state.nets().values():
-            flat = {id(p.data.base) for p in net.params.values()}
-            assert len(flat) == 1 and None not in flat
+            assert all(p.data.base is net.vector for p in net.params.values()), net.name
 
 
 @pytest.mark.parametrize(
@@ -365,6 +365,39 @@ def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step,
         assert restored[g][0].tobytes() == m.tobytes(), g
         assert restored[g][1].tobytes() == v.tobytes(), g
     assert state.t == 1
+
+
+@pytest.mark.parametrize(
+    "step, objective, pair, make_cfg",
+    [
+        (train_iteration, "image_objective", (RING_X, RING_Y), ring_cfg),
+        (train_sequence_iteration, "sequence_objective", (DOT_X, DOT_Y), dot_cfg),
+    ],
+    ids=["points", "sequences"],
+)
+def test_parameters_stay_views_of_the_network_vector(tmp_path, monkeypatch, step, objective, pair, make_cfg):
+    # after the first read, a step, a rollback and a load, each parameter is
+    # its stretch of net.vector; a rollback brings back the very vectors
+    cfg = make_cfg()
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state = init_state(cfg, dsx, dsy)
+    for net in state.nets().values():
+        assert_params_view_vector(net)
+    step(state, dsx.examples, dsy.examples, cfg)
+    for net in state.nets().values():
+        assert_params_view_vector(net)
+    before = {name: net.vector for name, net in state.nets().items()}
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, objective, lambda *args, **kwargs: Tensor(np.float32(np.nan)))
+        with pytest.raises(TrainPhaseError):
+            step(state, dsx.examples, dsy.examples, cfg)
+    for name, net in state.nets().items():
+        assert net.vector is before[name], name
+        assert_params_view_vector(net)
+    loaded = load_checkpoint(save_checkpoint(state, cfg, *pair, tmp_path))[0]
+    for name, net in loaded.nets().items():
+        assert_params_view_vector(net)
+        assert net.vector.tobytes() == before[name].tobytes(), name
 
 
 # ---------------------------------------------------------------- sequence mode
@@ -644,6 +677,18 @@ def test_resume_rejects_a_missing_moment_file(tmp_path):
     load_checkpoint(tmp_path / "ckpt_2")  # serving needs no moments
     with pytest.raises(FileNotFoundError, match=f"{missing}: missing, but the manifest lists it"):
         train(cfg, RING_X, RING_Y, tmp_path / "b", resume_from=tmp_path / "ckpt_2")
+
+
+def test_resume_rejects_a_moment_of_another_length(tmp_path):
+    cfg = ring_cfg(iterations=4, eval_every=2, checkpoint_every=2)
+    train(cfg, RING_X, RING_Y, tmp_path)
+    root = tmp_path / "ckpt_2"
+    manifest = json.loads((root / "manifest.json").read_text())
+    save_ctns(np.zeros(643, dtype=np.float32), root / "adam" / "g_yx.v.ctns")
+    manifest["files"]["adam/g_yx.v.ctns"] = (root / "adam" / "g_yx.v.ctns").stat().st_size
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="g_yx: moments in .* do not match the network's float32 \\(644,\\)"):
+        train(cfg, RING_X, RING_Y, tmp_path / "b", resume_from=root)
 
 
 @pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["points", "sequences"])

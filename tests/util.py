@@ -20,6 +20,16 @@ def check_op(build, params, rtol=1e-6, atol=1e-9):
         np.testing.assert_allclose(grads[name], num, rtol=rtol, atol=atol, err_msg=name)
 
 
+def assert_params_view_vector(net):
+    """Each parameter of ``net`` is its own stretch of ``net.vector``, in ``params`` order."""
+    offset = 0
+    for k, p in net.params.items():
+        assert p.data.base is net.vector, f"{net.name}.{k}"
+        assert p.data.ctypes.data == net.vector.ctypes.data + offset * net.vector.itemsize, f"{net.name}.{k}"
+        offset += p.data.size
+    assert offset == net.vector.size, net.name
+
+
 def round_trip_loss(g_xy, g_yx, x, y):
     """``cycle_loss`` on translations made here, one forward per direction."""
     x_moved = g_yx.forward(Tensor(np.asarray(y)))
