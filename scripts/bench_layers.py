@@ -1,22 +1,25 @@
-"""Per-layer convolution benchmark at the moving-dot recipe's call census.
+"""Per-layer convolution and activation benchmark at the moving-dot recipe's call census.
 
     python3 scripts/bench_layers.py --out layers.json
     python3 scripts/bench_layers.py --src /path/to/other/checkout/src --out other.json
 
-The census is read from the program itself: ``conv2d`` and
-``conv2d_transpose`` are counted during a 3-iteration and a 1-iteration dot
-run (``perfbench/recipes.py``), and the difference over two iterations is
-what one training iteration calls. A call is keyed by its op, input and
-kernel shapes, stride, pads, bias, dtype, which inputs need a gradient and
-whether a tape records it; each key counts its forward calls and the
-backward calls the tape made.
+The census is read from the program itself: ``conv2d``,
+``conv2d_transpose`` and ``leaky_relu`` are counted during a 3-iteration and
+a 1-iteration dot run (``perfbench/recipes.py``), and the difference over
+two iterations is what one training iteration calls. A convolution is keyed
+by its op, input and kernel shapes, stride, pads, bias, dtype, which inputs
+need a gradient and whether a tape records it; an activation by its op,
+input shape, dtype, whether its input needs a gradient and whether a tape
+records it. Each key counts its forward calls and the backward calls the
+tape made.
 
 Every key is then timed on seeded inputs: the forward (on a tape when the
 census saw one) and the recorded backward. One repeat times every key
-once, so each repeat also gives one per-iteration total, the sum of call
-count times time. The output holds, per key and for the totals, the median
-and quartiles over the repeats, plus the machine facts. BLAS is pinned to
-one thread before numpy loads.
+once, so each repeat also gives per-iteration totals, the sums of call
+count times time: forward, backward, both, and both per op. The output
+holds, per key and for the totals, the median and quartiles over the
+repeats, plus the machine facts. BLAS is pinned to one thread before numpy
+loads.
 """
 
 import os
@@ -38,12 +41,21 @@ from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-OPS = ("conv2d", "conv2d_transpose")
+CONVS = ("conv2d", "conv2d_transpose")
+OPS = CONVS + ("leaky_relu",)
+NAMES = {
+    **dict.fromkeys(CONVS, ("op", "x", "w", "stride", "pad", "out_pad", "bias", "dtype", "need_x", "need_w", "need_b", "taped")),
+    "leaky_relu": ("op", "x", "dtype", "need_x", "taped"),
+}
 REPEATS = 41  # timed passes over the whole census
 INNER = 5  # calls per key per pass
 
 
-def _key(T, op, x, w, b, kwargs) -> tuple:
+def _activation_key(T, op, a, slope=0.2) -> tuple:
+    return (op, tuple(a.shape), a.dtype.name, a.requires_grad, bool(T._active_graphs) and a.requires_grad)
+
+
+def _conv_key(T, op, x, w, b=None, **kwargs) -> tuple:
     needs = (x.requires_grad, w.requires_grad, b is not None and b.requires_grad)
     return (
         op,
@@ -59,16 +71,19 @@ def _key(T, op, x, w, b, kwargs) -> tuple:
     )
 
 
+_KEYS = {**dict.fromkeys(CONVS, _conv_key), "leaky_relu": _activation_key}
+
+
 def census(T, trainer, recipes) -> dict:
     """Forward and backward calls per dot training iteration, by call key."""
     counts = {"fwd": Counter(), "bwd": Counter()}
     originals = {op: getattr(T, op) for op in OPS}
 
     def counting(op):
-        def wrapped(x, w, b=None, **kwargs):
-            key = _key(T, op, x, w, b, kwargs)
+        def wrapped(*args, **kwargs):
+            key = _KEYS[op](T, op, *args, **kwargs)
             counts["fwd"][key] += 1
-            out = originals[op](x, w, b, **kwargs)
+            out = originals[op](*args, **kwargs)
             graphs = T._active_graphs
             if out.requires_grad and graphs and graphs[-1].nodes[-1].out is out:
                 node = graphs[-1].nodes[-1]
@@ -109,8 +124,12 @@ def census(T, trainer, recipes) -> dict:
 
 
 def _inputs(T, np, key, seed):
-    op, xs, ws, stride, pad, out_pad, has_b, dtype, need_x, need_w, need_b, _ = key
+    """The op and its arguments for one timed call; an activation runs at the networks' slope 0.2."""
     rng = np.random.default_rng(seed)
+    if key[0] == "leaky_relu":
+        _, xs, dtype, need_x, _ = key
+        return T.leaky_relu, (T.Tensor(rng.normal(size=xs).astype(dtype), requires_grad=need_x), 0.2), {}
+    op, xs, ws, stride, pad, out_pad, has_b, dtype, need_x, need_w, need_b, _ = key
     x = T.Tensor(rng.normal(size=xs).astype(dtype), requires_grad=need_x)
     w = T.Tensor((0.1 * rng.normal(size=ws)).astype(dtype), requires_grad=need_w)
     f = ws[0] if op == "conv2d" else ws[1]
@@ -118,20 +137,20 @@ def _inputs(T, np, key, seed):
     kwargs = {"stride": stride, "pad": pad}
     if op == "conv2d_transpose":
         kwargs["out_pad"] = out_pad
-    return getattr(T, op), x, w, b, kwargs
+    return getattr(T, op), (x, w, b), kwargs
 
 
 def time_key(T, np, key, inner: int) -> tuple[float, float]:
     """Mean ms of one forward and of one recorded backward, over ``inner`` calls."""
-    fn, x, w, b, kwargs = _inputs(T, np, key, seed=0)
+    fn, args, kwargs = _inputs(T, np, key, seed=0)
     recorded = key[-1]
     start = time.perf_counter()
     for _ in range(inner):
         if recorded:
             with T.Graph() as graph:
-                out = fn(x, w, b, **kwargs)
+                out = fn(*args, **kwargs)
         else:
-            out = fn(x, w, b, **kwargs)
+            out = fn(*args, **kwargs)
     fwd = (time.perf_counter() - start) / inner
     if not recorded:
         return 1e3 * fwd, 0.0
@@ -180,26 +199,26 @@ def main(argv=None) -> int:
     for key in calls:  # warm-up: first calls allocate and fault in memory
         time_key(T, np, key, 1)
     samples = {key: ([], []) for key in calls}
-    totals = {"fwd": [], "bwd": [], "all": []}
+    totals = {kind: [] for kind in ("fwd", "bwd", "all") + OPS}
     for _ in range(REPEATS):
-        fwd_total = bwd_total = 0.0
+        run = dict.fromkeys(totals, 0.0)
         for key, (n_fwd, n_bwd) in calls.items():
             fwd, bwd = time_key(T, np, key, INNER)
             samples[key][0].append(fwd)
             samples[key][1].append(bwd)
-            fwd_total += n_fwd * fwd
-            bwd_total += n_bwd * bwd
-        totals["fwd"].append(fwd_total)
-        totals["bwd"].append(bwd_total)
-        totals["all"].append(fwd_total + bwd_total)
+            run["fwd"] += n_fwd * fwd
+            run["bwd"] += n_bwd * bwd
+            run[key[0]] += n_fwd * fwd + n_bwd * bwd
+        run["all"] = run["fwd"] + run["bwd"]
+        for kind, value in run.items():
+            totals[kind].append(value)
 
-    names = ("op", "x", "w", "stride", "pad", "out_pad", "bias", "dtype", "need_x", "need_w", "need_b", "taped")
     layers = []
     for key, (n_fwd, n_bwd) in calls.items():
         fwd, bwd = samples[key]
         layers.append(
             {
-                **dict(zip(names, key)),
+                **dict(zip(NAMES[key[0]], key)),
                 "fwd_calls_per_iter": n_fwd,
                 "bwd_calls_per_iter": n_bwd,
                 "fwd_ms": _quartiles(fwd),
@@ -210,13 +229,14 @@ def main(argv=None) -> int:
         "src": str(src),
         "repeats": REPEATS,
         "inner": INNER,
-        "conv_ms_per_iter": {kind: _quartiles(v) for kind, v in totals.items()},
+        "ms_per_iter": {kind: _quartiles(v) for kind, v in totals.items()},
         "layers": layers,
         "machine": {**machine.facts(), "cpu": _cpu_model(), "platform": platform.platform()},
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    total = report["conv_ms_per_iter"]["all"]
-    print(f"{len(layers)} conv call keys; conv ms per dot iteration p50 {total['p50']:.2f} (p25 {total['p25']:.2f}, p75 {total['p75']:.2f})")
+    total = report["ms_per_iter"]["all"]
+    by_op = ", ".join(f"{op} {report['ms_per_iter'][op]['p50']:.2f}" for op in OPS)
+    print(f"{len(layers)} call keys; ms per dot iteration p50 {total['p50']:.2f} (p25 {total['p25']:.2f}, p75 {total['p75']:.2f}; {by_op})")
     return 0
 
 

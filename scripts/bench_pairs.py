@@ -1,9 +1,9 @@
-"""Parent/change pairs of the per-layer conv census and of every perfbench workload.
+"""Parent/change pairs of the per-layer census and of every perfbench workload.
 
     python3 scripts/bench_pairs.py --parent /path/to/parent/checkout --out pairs.json
 
 The change is this checkout; the parent is another coopforge checkout. For
-the conv census and then for each workload of ``BENCHMARK.json``, PAIRS
+the per-layer census and then for each workload of ``BENCHMARK.json``, PAIRS
 pairs run both sides one after the other, one process at a time, the
 parent first on even pairs. The census runs ``scripts/bench_layers.py`` of
 this checkout against each side's ``src/``; a workload runs
@@ -24,7 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 FIRST_SEED = 1100  # seeds FIRST_SEED .. FIRST_SEED + PAIRS - 1
 SIDES = ("parent", "change")
-CENSUS_TOTALS = ("fwd", "bwd", "all")
 
 
 def _sides(pair: int) -> tuple:
@@ -64,7 +63,7 @@ def census_pairs(checkouts: dict) -> dict:
                 subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_layers.py"), "--src", str(src), "--out", str(out)], check=True)
                 report = json.loads(out.read_text())
                 reports[side].append(report)
-                totals = {kind: report["conv_ms_per_iter"][kind]["p50"] for kind in CENSUS_TOTALS}
+                totals = {kind: q["p50"] for kind, q in report["ms_per_iter"].items()}
                 runs.append({"pair": pair, "side": side, "first": order == 0, **totals})
     timing = ("fwd_ms", "bwd_ms")
     layers = {}
@@ -83,7 +82,7 @@ def census_pairs(checkouts: dict) -> dict:
     return {
         "unit": "ms per dot training iteration, call-count weighted; a run's value is the median over its repeats",
         "runs": runs,
-        "summary": {kind: summarize(runs, kind, "lower") for kind in CENSUS_TOTALS},
+        "summary": {kind: summarize(runs, kind, "lower") for kind in reports["change"][0]["ms_per_iter"]},
         "layers": list(layers.values()),
         "machine": reports["change"][-1]["machine"],
     }
@@ -133,7 +132,7 @@ def main(argv=None) -> int:
             "end_to_end": f"perfbench/run.py --workload <w> --seed <{FIRST_SEED} + pair> --seconds {seconds} --trace 0, run in each checkout; {PAIRS} pairs, the parent first on even pairs",
             "command": "python3 scripts/bench_pairs.py --parent <parent checkout> --out <file>",
         },
-        "per_layer_conv_census": census_pairs(checkouts),
+        "per_layer_census": census_pairs(checkouts),
         "end_to_end": {},
     }
     for workload in declared["workloads"]:

@@ -313,15 +313,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="coopforge", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate a procedural dataset from a descriptor line")
     p.add_argument("descriptor", help='e.g. "ring n=200 modes=8 radius=1.6 mode_std=0.18 rotation=0.0 scale=1.0 seed=1"')
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
+
+def _add_train(sub) -> None:
     p = sub.add_parser("train", help="run the training loop from a config file")
     p.add_argument("config", help="key=value config file")
     p.add_argument("--resume", default=None, metavar="CKPT", help="checkpoint directory to continue from")
@@ -329,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{key}", default=None, metavar="VALUE", help=f"override config key {key}")
     p.set_defaults(func=cmd_train)
 
+
+def _add_translate(sub) -> None:
     p = sub.add_parser("translate", help="translate files with a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help=".ctns/.ppm file, or a directory of frames")
@@ -338,11 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_translate)
 
+
+def _add_eval(sub) -> None:
     p = sub.add_parser("eval", help="score a checkpoint against held-out data")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="directory for eval.csv (default: the checkpoint)")
     p.set_defaults(func=cmd_eval)
 
+
+def _add_sample(sub) -> None:
     p = sub.add_parser("sample", help="draw from one energy model, starting at its reference")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--domain", required=True, choices=("x", "y"))
@@ -352,11 +357,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
+
+_COMMANDS = {"gen": _add_gen, "train": _add_train, "translate": _add_translate, "eval": _add_eval, "sample": _add_sample}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser, or with every one if ``command`` names none.
+
+    Either way the usage line lists every command.
+    """
+    parser = argparse.ArgumentParser(prog="coopforge", description=__doc__.splitlines()[0])
+    one = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name, add in _COMMANDS.items():
+        if not one or name == command:
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except Exception as err:

@@ -133,18 +133,18 @@ class PointScorer(Net):
         return h.reshape(h.shape[0])
 
     def input_grad(self, x: np.ndarray) -> np.ndarray:
-        """Closed-form backprop of a ones column, in the tape's op order."""
-        masks = []
+        """Closed-form backprop of a ones column, in the tape's op order and kernels."""
+        pre = []
         h = x
         for i in range(self.depth):
             h = h @ self.params[f"w{i}"].data + self.params[f"b{i}"].data
             if i < self.depth - 1:
-                masks.append(h >= 0)
-                h = np.where(masks[-1], h, 0.2 * h)
+                pre.append(h)
+                h = np.maximum(h, h.dtype.type(0.2) * h)
         g = np.ones_like(h)
         for i in reversed(range(self.depth)):
             if i < self.depth - 1:
-                g = np.where(masks[i], g, 0.2 * g)
+                g = g * np.maximum(pre[i] >= 0, g.dtype.type(0.2))
             g = g @ self.params[f"w{i}"].data.T
         return g
 

@@ -316,11 +316,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = a.data >= 0
-    out = Tensor(np.where(mask, a.data, slope * a.data))
+    """max(a, slope * a) forward; the backward multiplies in a 1.0/slope map.
+
+    Both equal the select on ``a >= 0`` bit for bit on every value (signed
+    zeros, subnormals whose product underflows, infinities, NaN) while the
+    slope, in ``a``'s dtype, lies in (0, 1]; at 0, 0 * inf is NaN.
+    """
+    ad = a.data
+    s = ad.dtype.type(slope)
+    if not 0 < s <= 1:
+        raise ValueError(f"leaky_relu: slope must lie in (0, 1], got {slope}")
+    out = Tensor(np.maximum(ad, s * ad))
 
     def bwd(g):
-        return (np.where(mask, g, slope * g),)
+        return (g * np.maximum(ad >= 0, g.dtype.type(slope)),)
 
     return _record("leaky_relu", (a,), out, bwd)
 

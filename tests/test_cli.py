@@ -142,6 +142,26 @@ def _key_for(path) -> str:
     return "langevin_steps" if path == ("langevin", "steps") else path[-1]
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "translate", "eval", "sample"])
+def test_a_named_command_builds_only_its_parser(command, monkeypatch, capsys):
+    built = []
+
+    def spy(name, add):
+        def wrapped(sub):
+            built.append(name)
+            add(sub)
+
+        return wrapped
+
+    for name, add in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, spy(name, add))
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0 and f"usage: coopforge {command}" in capsys.readouterr().out
+    assert built == [command]
+    assert build_parser(command).format_usage() == build_parser().format_usage()
+
+
 def test_every_schedule_field_has_one_key_and_one_flag():
     train_flags = set(vars(build_parser().parse_args(["train", "run.cfg"]))) - {"command", "func", "config", "resume"}
     base = RunConfig.parse_text(MINIMAL).train

@@ -183,6 +183,41 @@ class TestInputGradients:
         assert _bitwise_equal(model.energy_grad(x), _tape_input_grad(model.energy_sum, x))
 
 
+def _select_leaky_relu(a, slope=0.2):
+    """The select-on-sign activation that the branch-free kernels replaced."""
+    mask = a.data >= 0
+    out = Tensor(np.where(mask, a.data, slope * a.data))
+    return T._record("leaky_relu", (a,), out, lambda g: (np.where(mask, g, slope * g),))
+
+
+class TestActivationKernel:
+    """Networks at the dot recipe's shapes give the select's bits, forward and backward."""
+
+    def test_image_scorer_input_grad(self, monkeypatch):
+        net = ImageScorer(in_shape=(1, 16, 16), seed=41, name="ebm_y")
+        x = np.random.default_rng(41).normal(size=(12, 1, 16, 16)).astype(np.float32)
+        branch_free = net.input_grad(x)
+        monkeypatch.setattr(T, "leaky_relu", _select_leaky_relu)
+        assert _bitwise_equal(branch_free, net.input_grad(x))
+
+    def test_image_translator_parameter_grads(self, monkeypatch):
+        net = ImageTranslator(in_shape=(1, 16, 16), seed=42, name="g_xy")
+        rng = np.random.default_rng(42)
+        net.load(net.vector + (0.1 * rng.standard_normal(net.vector.shape)).astype(np.float32))
+        x = Tensor(rng.uniform(size=(3, 1, 16, 16)).astype(np.float32))
+        target = rng.uniform(size=(3, 1, 16, 16)).astype(np.float32)
+
+        def grads():
+            with T.Graph() as g:
+                loss = T.sub(net.forward(x), target).square().sum()
+            return T.backward(g, loss, net.params)
+
+        branch_free = grads()
+        monkeypatch.setattr(T, "leaky_relu", _select_leaky_relu)
+        select = grads()
+        assert all(_bitwise_equal(branch_free[k], select[k]) for k in net.params)
+
+
 class TestGradientsThroughNetworks:
     """grad_check at float64 on miniature instances of each architecture."""
 

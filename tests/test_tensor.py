@@ -122,6 +122,34 @@ class TestElementwiseGrads:
         check_op(lambda: a.l1_norm(), {"a": a})
 
 
+class TestLeakyReluKernel:
+    """The branch-free kernels equal the select on a >= 0, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_select_on_every_value(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, -tiny, -2 * tiny, np.inf, -np.inf], dtype=dtype)  # 0.2 * -2 tiny underflows to -0.0
+        rng = np.random.default_rng(40)
+        # the special values as inputs under finite gradients, then as gradients under finite inputs
+        a = np.concatenate([special, rng.standard_normal(200 + special.size).astype(dtype)])
+        g = np.concatenate([rng.standard_normal(200 + special.size).astype(dtype), special])
+        assert dtype(0.2) * a[4] == 0 and np.signbit(dtype(0.2) * a[4])
+        x = Tensor(a, requires_grad=True)
+        with Graph() as graph:
+            out = T.leaky_relu(x, 0.2)
+        (node,) = graph.nodes
+        fwd_ref = np.where(a >= 0, a, 0.2 * a)
+        bwd_ref = np.where(a >= 0, g, 0.2 * g)
+        (bwd,) = node.bwd(g)
+        assert out.dtype == dtype and out.data.tobytes() == fwd_ref.tobytes()
+        assert bwd.dtype == dtype and bwd.tobytes() == bwd_ref.tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.1, 0.0, 1.5, float("nan")])
+    def test_rejects_a_slope_outside_its_range(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            T.leaky_relu(Tensor([1.0, -1.0]), slope)
+
+
 class TestMatmulGrads:
     def test_matmul(self):
         rng = np.random.default_rng(9)
