@@ -27,9 +27,9 @@ from .domains import (
     ring_mode_std,
     save_ppm,
 )
-from .evaluation import eval_descriptor, eval_frames, evaluate, rasterize_points, translate_sequence
+from .evaluation import evaluate, held_out_sets, rasterize_points, translate_sequence
 from .langevin import LangevinConfig, revise
-from .metrics import default_feature_map, mode_coverage, psnr
+from .metrics import mode_coverage, psnr
 from .rng import PURPOSE_DATA, stream
 from .tensor import ShapeError, load_ctns, save_ctns
 from .trainer import TrainConfig, config_from_dict, load_checkpoint, train
@@ -257,11 +257,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     state, cfg, desc_x, desc_y = load_checkpoint(args.checkpoint)
-    ds_x = generate(eval_descriptor(desc_x, cfg))
-    ds_y = generate(eval_descriptor(desc_y, cfg))
-    eval_x, eval_y = eval_frames(ds_x), eval_frames(ds_y)
-    fm = default_feature_map(ds_x.sample_shape)
-    scores, to_y, _ = evaluate(state, eval_x, eval_y, fm)
+    ds_x, eval_x, eval_y, fm = held_out_sets(desc_x, desc_y, cfg)
+    scores, to_y = evaluate(state, eval_x, eval_y, fm)
 
     mode_min = mode_unc = float("nan")
     if desc_y.name == "ring":

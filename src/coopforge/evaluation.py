@@ -13,17 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import DomainDataset, DomainDescriptor, save_ppm, with_count
+from .domains import DomainDataset, DomainDescriptor, generate, save_ppm, with_count
 from .langevin import LangevinConfig, revise
-from .metrics import FeatureMap, cycle_error, frechet_distance
+from .metrics import FeatureMap, cycle_error, default_feature_map, frechet_distance
 from .networks import EnergyModel, Net
 from .tensor import ShapeError, Tensor
 
 __all__ = [
     "eval_descriptor",
-    "eval_frames",
     "eval_langevin",
     "evaluate",
+    "held_out_sets",
     "rasterize_points",
     "refinement_scores",
     "run_translator",
@@ -57,11 +57,12 @@ def eval_descriptor(desc: DomainDescriptor, cfg) -> DomainDescriptor:
     return replace(with_count(desc, cfg.eval_samples), seed=desc.seed + _EVAL_SEED_SHIFT)
 
 
-def eval_frames(ds: DomainDataset) -> np.ndarray:
-    """Evaluation batch of a dataset: sequences are flattened into frames."""
-    if ds.kind == "sequences":
-        return np.ascontiguousarray(ds.examples.reshape((-1,) + ds.sample_shape))
-    return ds.examples
+def held_out_sets(desc_x: DomainDescriptor, desc_y: DomainDescriptor, cfg) -> tuple[DomainDataset, np.ndarray, np.ndarray, FeatureMap]:
+    """The held-out X dataset, the eval batches of both held-out twins
+    (sequences flattened into frames) and the feature map that scores them."""
+    ds_x, ds_y = generate(eval_descriptor(desc_x, cfg)), generate(eval_descriptor(desc_y, cfg))
+    eval_x, eval_y = (np.ascontiguousarray(ds.examples.reshape((-1,) + ds.sample_shape)) for ds in (ds_x, ds_y))
+    return ds_x, eval_x, eval_y, default_feature_map(ds_x.sample_shape)
 
 
 def eval_langevin(cfg) -> LangevinConfig:
@@ -69,9 +70,9 @@ def eval_langevin(cfg) -> LangevinConfig:
     return replace(cfg.langevin, seed=cfg.langevin.seed + _EVAL_SEED_SHIFT)
 
 
-def evaluate(state, eval_x: np.ndarray, eval_y: np.ndarray, fm: FeatureMap) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Held-out scores and the translations to_y = G_xy(eval_x) and
-    to_x = G_yx(eval_y) they read: ``fd_x`` compares to_y with eval_y,
+def evaluate(state, eval_x: np.ndarray, eval_y: np.ndarray, fm: FeatureMap) -> tuple[dict, np.ndarray]:
+    """Held-out scores and the translation to_y = G_xy(eval_x) they read,
+    with to_x = G_yx(eval_y): ``fd_x`` compares to_y with eval_y,
     ``fd_y`` compares to_x with eval_x, and ``cycle_err`` is
     ``metrics.cycle_error`` of the round trips G_yx(to_y) and G_xy(to_x).
     Four translator forwards in eval mode; nothing is recorded.
@@ -83,7 +84,7 @@ def evaluate(state, eval_x: np.ndarray, eval_y: np.ndarray, fm: FeatureMap) -> t
         "fd_y": frechet_distance(to_x, eval_x, fm),
         "cycle_err": cycle_error(eval_x, run_translator(state.g_yx, to_y), eval_y, run_translator(state.g_xy, to_x)),
     }
-    return scores, to_y, to_x
+    return scores, to_y
 
 
 def refinement_scores(state, eval_x: np.ndarray, eval_y: np.ndarray, cfg, fm: FeatureMap) -> dict:

@@ -2,8 +2,9 @@
 
 The estimator follows the contrastive maximum-likelihood form: observed
 batches push parameters to raise f, synthesized batches to lower it. All
-losses return scalar tensors so they can be recorded on a tape and
-differentiated; revision targets are always treated as constants.
+losses, its surrogate included, return scalar tensors so they can be
+recorded on a tape and differentiated; revision targets are always treated
+as constants.
 
 The translator losses take translated batches, not sources: the trainer
 translates each batch once, on the iteration's tape, and every term that
@@ -23,6 +24,7 @@ from .tensor import Graph, Tensor, backward
 __all__ = [
     "LossWeights",
     "ebm_grad",
+    "ebm_surrogate",
     "teach_loss",
     "cycle_loss",
     "temporal_loss",
@@ -65,20 +67,26 @@ def _tensor(batch) -> Tensor:
     return batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
 
 
-def ebm_grad(model: EnergyModel, data_batch, synth_batch) -> dict[str, np.ndarray]:
-    """Ascent direction on the data log-likelihood of the energy model.
-
-    Returns, per parameter of f, mean over the data batch of df/dtheta minus
-    the same mean over the synthesized batch. The Gaussian reference term
-    carries no parameters, so only the score network receives gradient.
-    Swapping the two batches negates the result exactly.
+def ebm_surrogate(model: EnergyModel, data_batch, synth_batch) -> Tensor:
+    """mean f(data) - mean f(synth): the scalar whose gradient is the
+    energy model's ascent direction. Both batches are constants, so only
+    the score network's parameters receive gradient; the Gaussian reference
+    term carries none.
     """
     data = _constant(data_batch)
     synth = _constant(synth_batch)
     if data.shape[0] == 0 or synth.shape[0] == 0:
-        raise ValueError("ebm_grad: batches must be non-empty")
+        raise ValueError("ebm_surrogate: batches must be non-empty")
+    return model.score(data).mean() - model.score(synth).mean()
+
+
+def ebm_grad(model: EnergyModel, data_batch, synth_batch) -> dict[str, np.ndarray]:
+    """Ascent direction on the data log-likelihood of the energy model:
+    per parameter of f, the gradient of ``ebm_surrogate``. Swapping the two
+    batches negates the result exactly.
+    """
     with Graph() as g:
-        surrogate = model.score(data).mean() - model.score(synth).mean()
+        surrogate = ebm_surrogate(model, data_batch, synth_batch)
     return backward(g, surrogate, model.params)
 
 

@@ -1,23 +1,23 @@
 """Alternating cooperative training of the two translator/energy pairs.
 
-Both modes run one phase pipeline: translate the sampled batches on the
-iteration's tape, revise the translations by Langevin dynamics, ascend the
-two energy models on their data-vs-synthesis gradient, then take one
-descent step of the translators (and the temporal predictors in sequence
-mode) on the mode's objective, which reads the recorded translations
-instead of translating again. Energy updates always precede translator
-updates, and every gradient inside a phase is taken at the phase-start
-parameters. A mode supplies only its batches, its objective
-(``image_objective`` or ``sequence_objective``) and the names of the
-networks that objective trains; a failed phase rolls the whole iteration
-back. Optimizer slots and checkpoint files are keyed by the names of
-``TrainState.nets()``. Every network takes exactly one Adam step per
-iteration, so the iteration clock ``TrainState.t`` is also Adam's step
-count: the step of iteration t is number t + 1. Adam is elementwise, so
-that step runs once on the network's ``vector``, the flat float32 array
-its parameters are views of, and the network then loads the result; its
-optimizer slot is the ``(m, v)`` moment pair ``adam_step`` takes and
-returns, and its checkpoint files are vectors in the same order.
+Both modes run one phase pipeline on one tape: translate the sampled
+batches, revise the translations by Langevin dynamics, then record the
+mode's objective, which reads the recorded translations instead of
+translating again, minus both energy models' data-vs-synthesis surrogates.
+One backward pass of that root gives every network its descent direction
+at the iteration-start parameters: the energy models ascend their
+surrogates, the translators (and the temporal predictors in sequence mode)
+descend the objective. Energy models step first. A mode supplies only its
+batches and its objective (``image_objective`` or ``sequence_objective``);
+a failed phase rolls the whole iteration back. Optimizer slots and
+checkpoint files are keyed by the names of ``TrainState.nets()``. Every
+network takes exactly one Adam step per iteration, so the iteration clock
+``TrainState.t`` is also Adam's step count: the step of iteration t is
+number t + 1. Adam is elementwise, so that step runs once on the network's
+``vector``, the flat float32 array its parameters are views of, and the
+network then loads the result; its optimizer slot is the ``(m, v)`` moment
+pair ``adam_step`` takes and returns, and its checkpoint files are vectors
+in the same order.
 
 Everything the loop consumes is keyed by (seed, iteration) through
 counter-based streams, so a checkpoint needs to store only plain integers
@@ -38,11 +38,11 @@ import numpy as np
 
 from . import tensor as T
 from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate, parse_descriptor
-from .evaluation import eval_descriptor, eval_frames, evaluate, write_grid
+from .evaluation import evaluate, held_out_sets, write_grid
 from .langevin import LangevinConfig, LangevinDiverged, revise
-from .metrics import default_feature_map, frechet_distance
+from .metrics import frechet_distance
 from .networks import EnergyModel, Net, TemporalPredictor, build_scorer, build_translator
-from .objectives import LossWeights, clip_frames, ebm_grad, image_objective, sequence_objective, teach_loss
+from .objectives import LossWeights, clip_frames, ebm_surrogate, image_objective, sequence_objective, teach_loss
 from .rng import data_stream
 from .tensor import Graph, Tensor, backward, load_ctns, save_ctns
 
@@ -134,7 +134,8 @@ class TrainState:
 class TrainPhaseError(RuntimeError):
     """An iteration failed; state was rolled back. ``phase`` names the step:
     ``langevin_x``/``langevin_y`` (revision), ``ebm_x``/``ebm_y`` (an energy
-    update) or ``objective`` (the descent step)."""
+    model's Adam step) or ``objective`` (a non-finite loss, or a translator's
+    or predictor's Adam step), all read from the iteration's one backward."""
 
     def __init__(self, phase: str, detail: str):
         super().__init__(f"[{phase}] {detail}")
@@ -155,8 +156,8 @@ def adam_step(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One bias-corrected Adam update; returns (new param, new moments).
 
-    Descends the supplied gradient; callers wanting ascent (the energy
-    models) pass the negated gradient. Pure: nothing is mutated.
+    Descends the supplied gradient; the energy models ascend because the
+    trainer's root subtracts their surrogates. Pure: nothing is mutated.
     """
     m0, v0 = moments
     if not (param.shape == grad.shape == m0.shape == v0.shape):
@@ -249,15 +250,6 @@ def _revise_or_abort(x0: np.ndarray, model: EnergyModel, cfg: TrainConfig, offse
         raise TrainPhaseError(phase, str(err)) from err
 
 
-def _ebm_update(state: TrainState, net: str, data: np.ndarray, synth: np.ndarray, rate: float) -> None:
-    grads = ebm_grad(getattr(state, net), data, synth)
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise TrainPhaseError(net, f"non-finite energy gradient for {name}")
-    # ascent on the estimator: Adam descends, so feed the negation
-    _apply_adam(state, net, {k: -g for k, g in grads.items()}, rate, net)
-
-
 def _iteration_stats(state: TrainState, x_hat, x_tilde, y_hat, y_tilde) -> None:
     e_init = 0.5 * (state.ebm_x.energy_values(x_hat).mean() + state.ebm_y.energy_values(y_hat).mean())
     e_rev = 0.5 * (state.ebm_x.energy_values(x_tilde).mean() + state.ebm_y.energy_values(y_tilde).mean())
@@ -265,16 +257,17 @@ def _iteration_stats(state: TrainState, x_hat, x_tilde, y_hat, y_tilde) -> None:
     state.last = {"energy_init": float(e_init), "energy_revised": float(e_rev), "teach_loss": float(teach)}
 
 
-def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data: np.ndarray, objective, descend) -> TrainState:
-    """Translate, revise, update both energy models, then descend ``objective``.
+def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data: np.ndarray, objective) -> TrainState:
+    """Translate, revise, then take every network's step from one backward pass.
 
     ``x_data``/``y_data`` are equal-length batches of examples or frames.
     Their translations x_moved = G_yx(y_data) and y_moved = G_xy(x_data)
-    are recorded once on the iteration's tape; the energy phases never
-    change translator parameters, so ``objective(x_moved, y_moved,
-    x_tilde, y_tilde)`` builds the loss on that same tape, reopened.
-    ``descend`` names the networks it trains. A failed phase restores the
-    starting parameters and moments.
+    are recorded on the iteration's tape; reopened, it records
+    ``objective(x_moved, y_moved, x_tilde, y_tilde)`` minus both
+    ``ebm_surrogate``s. The objective reads no scorer and a surrogate only
+    its own, so the root's gradient is each energy model's negated ascent
+    direction and every other network's objective gradient. A failed phase
+    restores the starting parameters and moments.
     """
     t = state.t
     snap = _snapshot(state)
@@ -289,17 +282,17 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
         x_tilde = _revise_or_abort(x_hat, state.ebm_x, cfg, 2 * t * n, "langevin_x")
         y_tilde = _revise_or_abort(y_hat, state.ebm_y, cfg, (2 * t + 1) * n, "langevin_y")
 
-        _ebm_update(state, "ebm_x", x_data, x_tilde, cfg.lr)
-        _ebm_update(state, "ebm_y", y_data, y_tilde, cfg.lr)
-
         with graph:
             loss = objective(x_moved, y_moved, x_tilde, y_tilde)
+            root = loss - ebm_surrogate(state.ebm_x, x_data, x_tilde) - ebm_surrogate(state.ebm_y, y_data, y_tilde)
         if not np.isfinite(loss.data):
             raise TrainPhaseError("objective", f"non-finite translator loss {loss.data!r}")
         groups = state.groups()
-        grads = backward(graph, loss, {(net, k): p for net in descend for k, p in groups[net].items()})
-        for net in descend:
-            _apply_adam(state, net, {k: grads[net, k] for k in groups[net]}, cfg.lr, "objective")
+        grads = backward(graph, root, {(net, k): p for net, params in groups.items() for k, p in params.items()})
+        del graph  # spent: its saved arrays need not outlive Adam's temporaries
+        for net, params in groups.items():
+            phase = net if net in ("ebm_x", "ebm_y") else "objective"
+            _apply_adam(state, net, {k: grads[net, k] for k in params}, cfg.lr, phase)
     except TrainPhaseError:
         _rollback(state, snap)
         raise
@@ -324,7 +317,7 @@ def train_iteration(state: TrainState, data_x: np.ndarray, data_y: np.ndarray, c
     def objective(x_moved, y_moved, x_tilde, y_tilde):
         return image_objective(state.g_xy, state.g_yx, x_batch, y_batch, x_moved, y_moved, x_tilde, y_tilde, cfg.weights)
 
-    return _run_phases(state, cfg, x_batch, y_batch, objective, ("g_xy", "g_yx"))
+    return _run_phases(state, cfg, x_batch, y_batch, objective)
 
 
 def _sample_clips(seqs: np.ndarray, gen, k: int) -> np.ndarray:
@@ -356,7 +349,7 @@ def train_sequence_iteration(state: TrainState, seq_x: np.ndarray, seq_y: np.nda
             state.g_xy, state.g_yx, state.r_x, state.r_y, x_clips, y_clips, x_moved, y_moved, x_tilde, y_tilde, weights
         )
 
-    return _run_phases(state, cfg, clip_frames(x_clips), clip_frames(y_clips), objective, ("g_xy", "g_yx", "r_x", "r_y"))
+    return _run_phases(state, cfg, clip_frames(x_clips), clip_frames(y_clips), objective)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +516,7 @@ def train(
     else:
         state = init_state(cfg, ds_x, ds_y)
 
-    eval_x_ds = generate(eval_descriptor(desc_x, cfg))
-    eval_y_ds = generate(eval_descriptor(desc_y, cfg))
-    eval_x, eval_y = eval_frames(eval_x_ds), eval_frames(eval_y_ds)
-    fm = default_feature_map(ds_x.sample_shape)
+    eval_x_ds, eval_x, eval_y, fm = held_out_sets(desc_x, desc_y, cfg)
     # fails now, not at the first eval row, when a held-out set is too small to score
     frechet_distance(eval_x, eval_y, fm)
 
@@ -546,7 +536,7 @@ def train(
                 train_iteration(state, ds_x.examples, ds_y.examples, cfg)
             it = state.t
             if it % cfg.eval_every == 0 or it == cfg.iterations:
-                scores, _, _ = evaluate(state, eval_x, eval_y, fm)
+                scores, _ = evaluate(state, eval_x, eval_y, fm)
                 row = {**scores, **state.last, "seconds": time.perf_counter() - start}
                 mf.write(",".join([str(it)] + [repr(float(row[c])) for c in METRICS_HEADER.split(",")[1:]]) + "\n")
                 mf.flush()

@@ -4,16 +4,26 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import dot_benchmark_config, ring_benchmark_config
-from coopforge import cli, rng, trainer
+from coopforge import cli, objectives, rng, trainer
 from coopforge.domains import DomainDescriptor, generate
 from coopforge.evaluation import refinement_scores, run_translator, translate_sequence
 from coopforge.langevin import LangevinConfig, revise
-from coopforge.objectives import LossWeights, clip_frames, sequence_objective, spatiotemporal_loss, temporal_loss
+from coopforge.objectives import (
+    LossWeights,
+    clip_frames,
+    ebm_grad,
+    ebm_surrogate,
+    image_objective,
+    sequence_objective,
+    spatiotemporal_loss,
+    temporal_loss,
+)
 from coopforge.networks import ImageTranslator, PointTranslator
 from coopforge.rng import data_stream
 from coopforge.tensor import Graph, ShapeError, Tensor, backward, load_ctns, save_ctns
@@ -80,6 +90,20 @@ def all_moments(state) -> dict:
 
 def flat_params(net) -> np.ndarray:
     return np.concatenate([p.data.ravel() for p in net.params.values()])
+
+
+def replayed_batches(state, dsx, dsy, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) batches the iteration at ``state.t`` draws from the trainer's
+    streams: one example per domain, or the frames of one clip per domain."""
+    from coopforge.trainer import _sample_clips
+
+    def draw(data, phase):
+        gen = data_stream(cfg.seed, state.t, phase=phase)
+        if state.r_x is None:
+            return data[gen.integers(0, len(data), size=1)]
+        return clip_frames(_sample_clips(data, gen, cfg.k))
+
+    return draw(dsx.examples, 1), draw(dsy.examples, 0)
 
 
 # ---------------------------------------------------------------- adam_step
@@ -328,31 +352,36 @@ def test_divergence_rolls_back_and_tags_phase():
 
 
 @pytest.mark.parametrize(
-    "step, objective, pair, make_cfg",
-    [
-        (train_iteration, "image_objective", (RING_X, RING_Y), ring_cfg),
-        (train_sequence_iteration, "sequence_objective", (DOT_X, DOT_Y), dot_cfg),
-    ],
+    "step, pair, make_cfg",
+    [(train_iteration, (RING_X, RING_Y), ring_cfg), (train_sequence_iteration, (DOT_X, DOT_Y), dot_cfg)],
     ids=["points", "sequences"],
 )
-def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step, objective, pair, make_cfg):
-    # the loss check comes after both energy models were updated, so the
-    # rollback must also undo ebm_x/ebm_y and their moments
+def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step, pair, make_cfg):
+    # both energy models step before the translators, so a translator step
+    # that fails the objective phase must also undo ebm_x/ebm_y and their moments
     cfg = make_cfg()
     dsx, dsy = generate(pair[0]), generate(pair[1])
     state = init_state(cfg, dsx, dsy)
     step(state, dsx.examples, dsy.examples, cfg)  # one clean step: non-zero moments
     params, moments = all_params(state), all_moments(state)
-    seen = {}
+    stepped, seen = [], {}
+    real = trainer.adam_step
 
-    def nan_objective(*args, **kwargs):
-        seen.update(all_params(state))
-        return Tensor(np.float32(np.nan))
+    def nan_for_g_xy(param, grad, slot, rate, t):
+        name = next(n for n, net in state.nets().items() if net.vector is param)
+        stepped.append(name)
+        new, slot = real(param, grad, slot, rate, t)
+        if name == "g_xy":
+            seen.update(all_params(state))
+            new = np.full_like(new, np.nan)
+        return new, slot
 
-    monkeypatch.setattr(trainer, objective, nan_objective)
+    monkeypatch.setattr(trainer, "adam_step", nan_for_g_xy)
     with pytest.raises(TrainPhaseError) as err:
         step(state, dsx.examples, dsy.examples, cfg)
     assert err.value.phase == "objective"
+    assert "g_xy." in str(err.value)
+    assert stepped == ["ebm_x", "ebm_y", "g_xy"]
     for net in ("ebm_x", "ebm_y"):
         assert any(not np.array_equal(seen[k], params[k]) for k in params if k.startswith(net + "."))
     after = all_params(state)
@@ -365,6 +394,143 @@ def test_failed_objective_rolls_back_committed_energy_updates(monkeypatch, step,
         assert restored[g][0].tobytes() == m.tobytes(), g
         assert restored[g][1].tobytes() == v.tobytes(), g
     assert state.t == 1
+
+
+@pytest.mark.parametrize(
+    "step, pair, make_cfg",
+    [(train_iteration, (RING_X, RING_Y), ring_cfg), (train_sequence_iteration, (DOT_X, DOT_Y), dot_cfg)],
+    ids=["points", "sequences"],
+)
+def test_energy_step_matches_replayed_estimator(step, pair, make_cfg):
+    # each energy model takes one Adam step on -ebm_grad of the replayed data
+    # and revisions at the iteration's start parameters; the trainer reads
+    # it from the single backward pass of the objective minus both surrogates
+    cfg = make_cfg()
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state, twin = init_state(cfg, dsx, dsy), init_state(cfg, dsx, dsy)
+    for s in (state, twin):
+        step(s, dsx.examples, dsy.examples, cfg)  # one clean step: non-zero moments
+    step(state, dsx.examples, dsy.examples, cfg)
+
+    t = twin.t
+    x_data, y_data = replayed_batches(twin, dsx, dsy, cfg)
+    n = len(y_data)
+    x_tilde = revise(run_translator(twin.g_yx, y_data), twin.ebm_x, cfg.langevin, chain_offset=2 * t * n)
+    y_tilde = revise(run_translator(twin.g_xy, x_data), twin.ebm_y, cfg.langevin, chain_offset=(2 * t + 1) * n)
+    for name, data, synth in (("ebm_x", x_data, x_tilde), ("ebm_y", y_data, y_tilde)):
+        model = getattr(twin, name)
+        grads = ebm_grad(model, data, synth)
+        ascent = -np.concatenate([grads[k].ravel() for k in model.params])
+        vector, (m, v) = adam_step(model.scorer.vector, ascent, twin.opt[name], cfg.lr, t + 1)
+        assert state.nets()[name].vector.tobytes() == vector.tobytes(), name
+        assert state.opt[name][0].tobytes() == m.tobytes(), name
+        assert state.opt[name][1].tobytes() == v.tobytes(), name
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # Adam's inf / inf
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "step, pair, make_cfg",
+    [(train_iteration, (RING_X, RING_Y), ring_cfg), (train_sequence_iteration, (DOT_X, DOT_Y), dot_cfg)],
+    ids=["points", "sequences"],
+)
+def test_non_finite_energy_gradient_fails_its_phase(monkeypatch, step, pair, make_cfg, value):
+    # any non-finite gradient entry makes Adam's result NaN, so the energy
+    # model's own step fails, names the parameter, and the iteration rolls back
+    cfg = make_cfg()
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state = init_state(cfg, dsx, dsy)
+    step(state, dsx.examples, dsy.examples, cfg)
+    params, moments = all_params(state), all_moments(state)
+    name, target = list(state.ebm_x.params.items())[1]
+    real = trainer.backward
+
+    def poisoned(graph, root, wrt):
+        grads = real(graph, root, wrt)
+        for key, p in wrt.items():
+            if p is target:
+                grads[key].flat[0] = value
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", poisoned)
+    with pytest.raises(TrainPhaseError) as err:
+        step(state, dsx.examples, dsy.examples, cfg)
+    assert err.value.phase == "ebm_x"
+    assert f"ebm_x.{name} " in str(err.value)
+    for k in params:
+        assert all_params(state)[k].tobytes() == params[k].tobytes(), k
+    for g, (m, v) in moments.items():
+        assert state.opt[g][0].tobytes() == m.tobytes(), g
+        assert state.opt[g][1].tobytes() == v.tobytes(), g
+    assert state.t == 1
+
+
+def test_ring_iteration_takes_one_backward_and_no_ebm_grad(monkeypatch):
+    # the objective and both energy surrogates share one tape and one pass;
+    # ring scorers take their Langevin input gradients without the tape
+    calls = []
+    real_backward, real_ebm_grad = trainer.backward, objectives.ebm_grad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_backward(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ebm_grad called")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "coopforge" or module_name.startswith("coopforge."):
+            for attr, value in list(vars(module).items()):
+                if value is real_backward:
+                    monkeypatch.setattr(module, attr, counted)
+                elif value is real_ebm_grad:
+                    monkeypatch.setattr(module, attr, refuse)
+    cfg = ring_cfg()
+    dsx, dsy = generate(RING_X), generate(RING_Y)
+    state = init_state(cfg, dsx, dsy)
+    for it in range(2):
+        calls.clear()
+        train_iteration(state, dsx.examples, dsy.examples, cfg)
+        assert len(calls) == 1, it
+
+
+@pytest.mark.parametrize(
+    "step, pair, make_cfg",
+    [(train_iteration, (RING_X, RING_Y), ring_cfg), (train_sequence_iteration, (DOT_X, DOT_Y), dot_cfg)],
+    ids=["points", "sequences"],
+)
+def test_each_term_of_the_root_reaches_only_its_networks(step, pair, make_cfg):
+    # one backward pass of objective - both surrogates gives each network its
+    # own step only while the objective reads no scorer and each surrogate
+    # reads only its own scorer: every other gradient must be exactly zero
+    cfg = make_cfg(weights=LossWeights(lambda_cyc=9, lambda1=9, lambda2=9))
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state = init_state(cfg, dsx, dsy)
+    step(state, dsx.examples, dsy.examples, cfg)  # off the identity initialisation
+    leaves = {(net, k): p for net, params in state.groups().items() for k, p in params.items()}
+    sequence = state.r_x is not None
+    x_batch, y_batch = (ds.examples[:1, : cfg.k + 1] if sequence else ds.examples[:2] for ds in (dsx, dsy))
+    x_data, y_data = (clip_frames(b) if sequence else b for b in (x_batch, y_batch))
+
+    graph = Graph()
+    with graph:
+        x_moved = state.g_yx.forward(Tensor(y_data))
+        y_moved = state.g_xy.forward(Tensor(x_data))
+    x_tilde, y_tilde = x_moved.data + 0.1, y_moved.data - 0.1
+    nets = (state.g_xy, state.g_yx, state.r_x, state.r_y) if sequence else (state.g_xy, state.g_yx)
+    objective = sequence_objective if sequence else image_objective
+    with graph:
+        loss = objective(*nets, x_batch, y_batch, x_moved, y_moved, x_tilde, y_tilde, cfg.weights)
+    grads = backward(graph, loss, leaves)
+    assert all(any(grads[net, k].any() for k in state.groups()[net]) for net in ("g_xy", "g_yx"))
+    assert all(not grads[net, k].any() for net, k in leaves if net in ("ebm_x", "ebm_y")), "objective reads a scorer"
+
+    for name, data, synth in (("ebm_x", x_data, x_tilde), ("ebm_y", y_data, y_tilde)):
+        with Graph() as surrogate_graph:
+            surrogate = ebm_surrogate(getattr(state, name), data, synth)
+        grads = backward(surrogate_graph, surrogate, leaves)
+        assert any(grads[net, k].any() for net, k in leaves if net == name), name
+        assert all(not grads[net, k].any() for net, k in leaves if net != name), name
 
 
 @pytest.mark.parametrize(
