@@ -204,38 +204,31 @@ def _record(op: str, inputs: tuple, out: Tensor, bwd) -> Tensor:
 def backward(graph: Graph, root: Tensor, wrt: dict) -> dict[object, np.ndarray]:
     """d(root)/d(leaf) for every leaf in ``wrt``, under the same keys.
 
-    Visits each recorded node exactly once, in reverse tape order, and sums
-    a leaf's contributions in that order, each cast to the leaf's dtype. A
-    leaf the root does not reach, or one without ``requires_grad``, gets zeros.
+    One map from tensor to gradient, seeded with ones at the root, sums each
+    contribution to a tensor that requires a gradient in reverse tape order,
+    popping a node's entry when the walk reaches it. A sum keeps its
+    contributions' dtype and is cast once to the leaf's, not one by one; on
+    every program path they already have the leaf's dtype, so both agree.
+    Unreached leaves, leaves without ``requires_grad`` and tensors this graph
+    produced get zeros. No two keys share memory.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
-    leaves = {id(t): np.zeros_like(t.data) for t in wrt.values()}
-    out = {k: leaves[id(t)] for k, t in wrt.items()}
-    produced = {id(n.out) for n in graph.nodes}
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-
-    def sink(t: Tensor, g: np.ndarray):
-        key = id(t)
-        if key in produced:
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-        elif t.requires_grad and key in leaves:
-            acc = leaves[key]
-            acc += g.astype(acc.dtype, copy=False)
-
-    if id(root) not in produced:
-        sink(root, grads.pop(id(root)))
-        return out
+    grads = {id(root): np.ones_like(root.data)}
     for node in reversed(graph.nodes):
         g = grads.pop(id(node.out), None)
-        if g is None:
-            continue
-        for inp, gi in zip(node.inputs, node.bwd(g)):
-            if gi is not None:
-                sink(inp, gi)
+        if g is not None:
+            for inp, gi in zip(node.inputs, node.bwd(g)):
+                if gi is not None and inp.requires_grad:
+                    key = id(inp)
+                    grads[key] = grads[key] + gi if key in grads else gi
+    out, handed = {}, set()
+    for k, t in wrt.items():
+        g = grads.get(id(t)) if t.requires_grad else None
+        g = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=t.dtype)
+        base = id(g if g.base is None else g.base)
+        out[k] = g.copy() if base in handed else g
+        handed.add(base)
     return out
 
 

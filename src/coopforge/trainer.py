@@ -174,18 +174,24 @@ def adam_step(
     return param - rate * m_hat / (np.sqrt(v_hat) + _EPS), (m, v)
 
 
+def _first_non_finite(model, flat: np.ndarray) -> str:
+    """The parameter holding the first non-finite entry of ``flat``, laid out as ``model.vector``."""
+    sizes = np.cumsum([p.data.size for p in model.params.values()])
+    return list(model.params)[int(np.searchsorted(sizes, np.argmin(np.isfinite(flat)), side="right"))]
+
+
 def _apply_adam(state: TrainState, net: str, grads: dict[str, np.ndarray], rate: float, phase: str) -> None:
-    """Adam step number ``state.t + 1`` of the network ``net``, taken once on
-    its vector and the per-leaf ``grads`` concatenated in ``params`` order;
-    the network then loads the new vector. A non-finite result fails
+    """Adam step ``state.t + 1`` of network ``net``: its vector and its per-leaf
+    ``grads``, concatenated in ``params`` order, give the vector it loads. A
+    non-finite gradient or result (checkpointed moments can cause one) fails
     ``phase``, naming the first offending parameter, and changes nothing."""
     model = state.nets()[net]
     grad = np.concatenate([grads[k].ravel() for k in model.params])
+    if not np.isfinite(grad).all():
+        raise TrainPhaseError(phase, f"non-finite gradient {net}.{_first_non_finite(model, grad)} before update")
     flat, moments = adam_step(model.vector, grad, state.opt[net], rate, state.t + 1)
     if not np.isfinite(flat).all():
-        sizes = np.cumsum([p.data.size for p in model.params.values()])
-        bad = list(model.params)[int(np.searchsorted(sizes, np.argmin(np.isfinite(flat)), side="right"))]
-        raise TrainPhaseError(phase, f"non-finite parameter {net}.{bad} after update")
+        raise TrainPhaseError(phase, f"non-finite parameter {net}.{_first_non_finite(model, flat)} after update")
     state.opt[net] = moments
     model.load(flat)
 

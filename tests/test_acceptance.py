@@ -44,6 +44,7 @@ from coopforge.objectives import (
     LossWeights,
     combine_sequence_losses,
     ebm_grad,
+    ebm_surrogate,
     image_objective,
     sequence_objective,
     teach_loss,
@@ -181,6 +182,22 @@ def _composite_loss_cases():
     for tag, net in (("gxy", gs_xy), ("gyx", gs_yx), ("rx", r_x), ("ry", r_y)):
         seq_params.update({f"{tag}.{k}": v for k, v in net.params.items()})
 
+    # The root the trainer descends: both translations recorded, the
+    # objective on them, minus each energy model's surrogate. Revisions are
+    # constants of the root, drawn here once near the translations.
+    ebm_x = EnergyModel(_perturbed(PointScorer(dim=2, hidden=(5, 4), seed=59, name="ex", **f64), 8), 0.7)
+    ebm_y = EnergyModel(_perturbed(PointScorer(dim=2, hidden=(5, 4), seed=60, name="ey", **f64), 9), 0.7)
+    x_tilde = g_yx.forward(Tensor(yb)).data + 0.1 * rng_.normal(size=(4, 2))
+    y_tilde = g_xy.forward(Tensor(xb)).data + 0.1 * rng_.normal(size=(4, 2))
+
+    def root():
+        x_moved, y_moved = g_yx.forward(Tensor(yb)), g_xy.forward(Tensor(xb))
+        loss = image_objective(g_xy, g_yx, xb, yb, x_moved, y_moved, x_tilde, y_tilde, weights)
+        return loss - ebm_surrogate(ebm_x, xb, x_tilde) - ebm_surrogate(ebm_y, yb, y_tilde)
+    root_params = dict(both)
+    for tag, model_ in (("ex", ebm_x), ("ey", ebm_y)):
+        root_params.update({f"{tag}.{k}": v for k, v in model_.params.items()})
+
     return {
         "energy": (scorer.params, lambda: model.energy_sum(pts), 1e-3),
         "teach": (g_yx.params, lambda: teach_loss(g_yx.forward(Tensor(src)), tgt), 1e-3),
@@ -193,6 +210,7 @@ def _composite_loss_cases():
             1e-3,
         ),
         "sequence_objective": (seq_params, sequence_loss, 1e-5),
+        "root": (root_params, root, 1e-3),
     }
 
 
@@ -233,7 +251,7 @@ def test_criterion_1_gradient_fidelity():
         1,
         ok,
         f"max relative gradient error {worst:.2e} ({worst_name}) over "
-        f"{len(cases)} operators, 5 composite losses and the energy input gradient, budget 1e-4; {elapsed:.1f}s < 60s",
+        f"{len(cases)} operators, 6 composite losses and the energy input gradient, budget 1e-4; {elapsed:.1f}s < 60s",
     )
     assert ok
 

@@ -517,6 +517,46 @@ class TestTape:
             _ = (x * 2.0).sum()
         assert len(g) == 0
 
+    @pytest.mark.parametrize("through_reshape", [False, True], ids=["direct", "reshaped"])
+    def test_no_two_keys_share_memory(self, through_reshape):
+        # add hands one array to both inputs, and reshape hands each a view
+        # of it; every key, the same leaf under two keys included, gets its own
+        a, b = leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))
+        with Graph() as g:
+            out = (a.reshape(6) + b.reshape(6)).sum() if through_reshape else (a + b).sum()
+        grads = backward(g, out, {"a": a, "b": b, "a again": a})
+        for k1, k2 in itertools.combinations(grads, 2):
+            assert not np.shares_memory(grads[k1], grads[k2]), (k1, k2)
+        grads["a"][0, 0] = 7.0
+        np.testing.assert_array_equal(grads["b"], np.ones((2, 3)))
+        np.testing.assert_array_equal(grads["a again"], np.ones((2, 3)))
+
+    def test_requested_intermediate_gets_zeros(self):
+        a = leaf([1.0, 2.0])
+        with Graph() as g:
+            mid = a * 3.0
+            out = mid.sum()
+        grads = backward(g, out, {"a": a, "mid": mid})
+        np.testing.assert_array_equal(grads["a"], [3.0, 3.0])
+        np.testing.assert_array_equal(grads["mid"], np.zeros(2))
+
+    def test_root_that_is_a_requested_leaf_gets_ones(self):
+        a = leaf(2.5)
+        grads = backward(Graph(), a, {"a": a})
+        assert grads["a"].dtype == np.float64 and grads["a"] == 1.0
+
+    def test_float32_leaf_sums_float64_contributions_then_rounds_once(self):
+        # 1 + 2**-24 rounds to 1 in float32, so rounding each contribution
+        # would lose the 2**-23 that their float64 sum carries
+        a = leaf(np.ones(2), dtype=np.float32)
+        w1, w2 = Tensor(np.full(2, 1.0 + 2.0**-24)), Tensor(np.full(2, 2.0**-24))
+        with Graph() as g:
+            out = (a * w1).sum() + (a * w2).sum()
+        grad = backward(g, out, {"a": a})["a"]
+        assert grad.dtype == np.float32
+        np.testing.assert_array_equal(grad, (w1.data + w2.data).astype(np.float32))
+        assert grad[0] == np.float32(1.0 + 2.0**-23)
+
 
 class TestApplyRegistry:
     def test_every_listed_op_differentiates(self):
