@@ -294,7 +294,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     model = state.ebm_x if args.domain == "x" else state.ebm_y
     lng = replace(cfg.langevin, **_given(args, _SAMPLER_FLAGS))
     gen = stream(args.seed, PURPOSE_DATA, a=args.count, b=0)
-    x0 = (model.reference_scale * gen.standard_normal((args.count,) + model.scorer.in_shape)).astype(np.float32)
+    x0 = gen.standard_normal((args.count,) + model.in_shape).astype(np.float32)
     samples = revise(x0, model, lng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -345,7 +345,7 @@ def _add_eval(sub) -> None:
 
 
 def _add_sample(sub) -> None:
-    p = sub.add_parser("sample", help="draw from one energy model, starting at its reference")
+    p = sub.add_parser("sample", help="draw from one energy model, starting at the unit Gaussian")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--domain", required=True, choices=("x", "y"))
     p.add_argument("--count", type=int, default=64)

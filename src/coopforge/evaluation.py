@@ -16,7 +16,7 @@ import numpy as np
 from .domains import DomainDataset, DomainDescriptor, generate, save_ppm, with_count
 from .langevin import LangevinConfig, revise
 from .metrics import FeatureMap, cycle_error, default_feature_map, frechet_distance
-from .networks import EnergyModel, Net
+from .networks import Net, Scorer
 from .tensor import ShapeError, Tensor
 
 __all__ = [
@@ -39,7 +39,7 @@ def run_translator(net: Net, batch: np.ndarray) -> np.ndarray:
     return net.forward(Tensor(np.ascontiguousarray(batch))).data
 
 
-def translate_sequence(batch: np.ndarray, g: Net, p: EnergyModel, cfg: LangevinConfig) -> np.ndarray:
+def translate_sequence(batch: np.ndarray, g: Net, p: Scorer, cfg: LangevinConfig) -> np.ndarray:
     """Translate a batch, then revise it by Langevin dynamics.
 
     An (n, d) point batch or (n, C, H, W) frames (a sequence's T frames) in,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .networks import EnergyModel
+from .networks import Scorer
 
 __all__ = ["LangevinConfig", "LangevinDiverged", "revise", "energy_grad"]
 
@@ -45,8 +45,8 @@ class LangevinDiverged(RuntimeError):
     """Chain state left the trusted region or went non-finite."""
 
 
-def energy_grad(model: EnergyModel, x: np.ndarray) -> np.ndarray:
-    """dE/dx for a batch, parameters frozen, no graph retained."""
+def energy_grad(model: Scorer, x: np.ndarray) -> np.ndarray:
+    """dE/dx of the scorer's energy for a batch, parameters frozen, no graph retained."""
     return model.energy_grad(x)
 
 
@@ -58,8 +58,8 @@ def _check_state(x: np.ndarray, step: int) -> None:
         raise LangevinDiverged(f"state magnitude {peak:.3e} exceeds {_DIVERGENCE_LIMIT:.0e} at step {step}")
 
 
-def revise(x0: np.ndarray, model: EnergyModel, cfg: LangevinConfig, chain_offset: int = 0) -> np.ndarray:
-    """Run ``cfg.steps`` Langevin steps from each row of ``x0``.
+def revise(x0: np.ndarray, model: Scorer, cfg: LangevinConfig, chain_offset: int = 0) -> np.ndarray:
+    """Run ``cfg.steps`` Langevin steps on the energy of ``model`` from each row of ``x0``.
 
     The input is never mutated. Chain i draws from the stream keyed
     (cfg.seed, chain_offset + i), so results are bitwise independent of how

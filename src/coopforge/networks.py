@@ -1,5 +1,6 @@
-"""Network definitions: per-domain energy models, cross-domain translators,
-and the temporal predictor used for frame sequences.
+"""Network definitions: per-domain scorers f, each its domain's energy model
+E(x) = -f(x) + ||x||^2 / 2 with the unit Gaussian reference, cross-domain
+translators, and the temporal predictor used for frame sequences.
 
 All parameters are float32 leaves initialized from named counter-based
 streams, so two constructions with the same (seed, name) are identical. A
@@ -22,13 +23,13 @@ from .tensor import Tensor
 
 __all__ = [
     "Net",
+    "Scorer",
     "PointScorer",
     "ImageScorer",
     "ZeroScorer",
     "PointTranslator",
     "ImageTranslator",
     "TemporalPredictor",
-    "EnergyModel",
     "build_scorer",
     "build_translator",
 ]
@@ -89,6 +90,15 @@ class Net:
         self.params[local] = t
         return t
 
+
+# ---------------------------------------------------------------------------
+# Score functions f(x; theta)
+# ---------------------------------------------------------------------------
+
+
+class Scorer(Net):
+    """A score function f, (n, ...) -> (n,), owning its energy E(x) = -f(x) + ||x||^2 / 2."""
+
     def input_grad(self, x: np.ndarray) -> np.ndarray:
         """d(sum_i f(x_i))/dx with parameters frozen, by a throwaway tape.
 
@@ -106,13 +116,25 @@ class Net:
             for p in frozen:
                 p.requires_grad = True
 
+    def energy_each(self, x: Tensor) -> Tensor:
+        """Per-sample energies: (n, ...) -> (n,)."""
+        ref = T.sq_norm(x, axis=tuple(range(1, x.ndim))) * 0.5
+        return T.neg(self.forward(x)) + ref
 
-# ---------------------------------------------------------------------------
-# Score functions f(x; theta)
-# ---------------------------------------------------------------------------
+    def energy_sum(self, x: Tensor) -> Tensor:
+        """Total energy of a batch on the tape; ``energy_grad`` equals its input gradient bitwise."""
+        return self.energy_each(x).sum()
+
+    def energy_grad(self, x: np.ndarray) -> np.ndarray:
+        """dE/dx for a batch, parameters frozen: -df/dx + x."""
+        return -self.input_grad(x) + x
+
+    def energy_values(self, x: np.ndarray) -> np.ndarray:
+        """Per-sample energies in eval mode (no tape, plain arrays in/out)."""
+        return self.energy_each(Tensor(np.asarray(x))).data
 
 
-class PointScorer(Net):
+class PointScorer(Scorer):
     """MLP score function for point clouds: (n, dim) -> (n,); ``in_shape`` is (dim,)."""
 
     def __init__(self, dim: int = 2, hidden: tuple = (128, 128), seed: int = 0, name: str = "score", dtype=np.float32):
@@ -149,7 +171,7 @@ class PointScorer(Net):
         return g
 
 
-class ImageScorer(Net):
+class ImageScorer(Scorer):
     """Convolutional score function for NCHW images: (n, C, H, W) -> (n,).
 
     Defaults are desk scale; passing widths=(64, 128, 256, 512),
@@ -208,7 +230,7 @@ class ImageScorer(Net):
         return out.reshape(out.shape[0])
 
 
-class ZeroScorer(Net):
+class ZeroScorer(Scorer):
     """f(x) = 0 with no parameters.
 
     Under a zero score the energy reduces to the reference term alone, so
@@ -224,54 +246,6 @@ class ZeroScorer(Net):
 
     def input_grad(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
-
-
-# ---------------------------------------------------------------------------
-# Energy model
-# ---------------------------------------------------------------------------
-
-
-class EnergyModel:
-    """Energy over data space: E(x) = -f(x) + ||x||^2 / (2 s^2).
-
-    ``scorer`` provides the learnable f; ``reference_scale`` is s, the
-    standard deviation of the Gaussian reference distribution. Training
-    always uses the unit reference, s = 1.
-    """
-
-    def __init__(self, scorer: Net, reference_scale: float = 1.0):
-        if reference_scale <= 0:
-            raise ValueError(f"reference_scale must be positive, got {reference_scale}")
-        self.scorer = scorer
-        self.reference_scale = float(reference_scale)
-
-    @property
-    def params(self) -> dict[str, Tensor]:
-        return self.scorer.params
-
-    def score(self, x: Tensor) -> Tensor:
-        """Per-sample f(x): (n, ...) -> (n,)."""
-        return self.scorer.forward(x)
-
-    def energy_each(self, x: Tensor) -> Tensor:
-        """Per-sample energies: (n, ...) -> (n,)."""
-        axes = tuple(range(1, x.ndim))
-        ref = T.sq_norm(x, axis=axes) * (1.0 / (2.0 * self.reference_scale**2))
-        return T.neg(self.score(x)) + ref
-
-    def energy_sum(self, x: Tensor) -> Tensor:
-        """Total energy of a batch on the tape; ``energy_grad`` equals its input gradient bitwise."""
-        return self.energy_each(x).sum()
-
-    def energy_grad(self, x: np.ndarray) -> np.ndarray:
-        """dE/dx for a batch, parameters frozen; bitwise what the tape of
-        ``energy_sum`` gives, with c = 1/(2 s^2) rounded to x's dtype."""
-        c = x.dtype.type(1.0 / (2.0 * self.reference_scale**2))
-        return -self.scorer.input_grad(x) + (2.0 * c) * x
-
-    def energy_values(self, x: np.ndarray) -> np.ndarray:
-        """Per-sample energies in eval mode (no tape, plain arrays in/out)."""
-        return self.energy_each(Tensor(np.asarray(x))).data
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +385,7 @@ class TemporalPredictor(Net):
 # ---------------------------------------------------------------------------
 
 
-def build_scorer(shape: tuple, seed: int | None, name: str) -> Net:
+def build_scorer(shape: tuple, seed: int | None, name: str) -> Scorer:
     """Scorer for samples of ``shape``: (d,) -> point MLP, (C,H,W) -> conv net."""
     if len(shape) == 1:
         return PointScorer(dim=shape[0], seed=seed, name=name)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .networks import EnergyModel, Net, TemporalPredictor
+from .networks import Net, Scorer, TemporalPredictor
 from .tensor import Graph, Tensor, backward
 
 __all__ = [
@@ -67,7 +67,7 @@ def _tensor(batch) -> Tensor:
     return batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
 
 
-def ebm_surrogate(model: EnergyModel, data_batch, synth_batch) -> Tensor:
+def ebm_surrogate(model: Scorer, data_batch, synth_batch) -> Tensor:
     """mean f(data) - mean f(synth): the scalar whose gradient is the
     energy model's ascent direction. Both batches are constants, so only
     the score network's parameters receive gradient; the Gaussian reference
@@ -77,10 +77,10 @@ def ebm_surrogate(model: EnergyModel, data_batch, synth_batch) -> Tensor:
     synth = _constant(synth_batch)
     if data.shape[0] == 0 or synth.shape[0] == 0:
         raise ValueError("ebm_surrogate: batches must be non-empty")
-    return model.score(data).mean() - model.score(synth).mean()
+    return model.forward(data).mean() - model.forward(synth).mean()
 
 
-def ebm_grad(model: EnergyModel, data_batch, synth_batch) -> dict[str, np.ndarray]:
+def ebm_grad(model: Scorer, data_batch, synth_batch) -> dict[str, np.ndarray]:
     """Ascent direction on the data log-likelihood of the energy model:
     per parameter of f, the gradient of ``ebm_surrogate``. Swapping the two
     batches negates the result exactly.

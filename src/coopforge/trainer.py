@@ -41,7 +41,7 @@ from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate,
 from .evaluation import evaluate, held_out_sets, write_grid
 from .langevin import LangevinConfig, LangevinDiverged, revise
 from .metrics import frechet_distance
-from .networks import EnergyModel, Net, TemporalPredictor, build_scorer, build_translator
+from .networks import Net, Scorer, TemporalPredictor, build_scorer, build_translator
 from .objectives import LossWeights, clip_frames, ebm_surrogate, image_objective, sequence_objective, teach_loss
 from .rng import data_stream
 from .tensor import Graph, Tensor, backward, load_ctns, save_ctns
@@ -109,8 +109,8 @@ class TrainState:
     resumed ``train`` reads the stored moments.
     """
 
-    ebm_x: EnergyModel
-    ebm_y: EnergyModel
+    ebm_x: Scorer
+    ebm_y: Scorer
     g_xy: Net
     g_yx: Net
     r_x: TemporalPredictor | None
@@ -124,7 +124,7 @@ class TrainState:
         return {name: net.params for name, net in self.nets().items()}
 
     def nets(self) -> dict[str, Net]:
-        out = {"ebm_x": self.ebm_x.scorer, "ebm_y": self.ebm_y.scorer, "g_xy": self.g_xy, "g_yx": self.g_yx}
+        out = {"ebm_x": self.ebm_x, "ebm_y": self.ebm_y, "g_xy": self.g_xy, "g_yx": self.g_yx}
         if self.r_x is not None:
             out["r_x"] = self.r_x
             out["r_y"] = self.r_y
@@ -205,8 +205,8 @@ def _build_state(cfg: TrainConfig, shape: tuple, sequence: bool, seed: int | Non
     """The networks for samples of ``shape``, with temporal predictors if
     ``sequence`` is set, drawn from ``seed`` (left at zero where a draw
     would go if it is None), with no optimizer slots."""
-    ebm_x = EnergyModel(build_scorer(shape, seed=seed, name="ebm_x"))
-    ebm_y = EnergyModel(build_scorer(shape, seed=seed, name="ebm_y"))
+    ebm_x = build_scorer(shape, seed=seed, name="ebm_x")
+    ebm_y = build_scorer(shape, seed=seed, name="ebm_y")
     g_xy = build_translator(shape, seed=seed, name="g_xy")
     g_yx = build_translator(shape, seed=seed, name="g_yx")
     r_x = r_y = None
@@ -249,7 +249,7 @@ def _rollback(state: TrainState, snap) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _revise_or_abort(x0: np.ndarray, model: EnergyModel, cfg: TrainConfig, offset: int, phase: str) -> np.ndarray:
+def _revise_or_abort(x0: np.ndarray, model: Scorer, cfg: TrainConfig, offset: int, phase: str) -> np.ndarray:
     try:
         return revise(x0, model, cfg.langevin, chain_offset=offset)
     except LangevinDiverged as err:
@@ -433,8 +433,10 @@ def _read_vector(root: Path, files: dict, rel: str) -> np.ndarray:
     path = root / rel
     if not path.is_file():
         raise FileNotFoundError(f"{path}: missing, but the manifest lists it")
-    if (on_disk := path.stat().st_size) != files.get(rel):
-        raise ValueError(f"{path}: {on_disk} bytes, but the manifest lists {files.get(rel)}")
+    if rel not in files:
+        raise ValueError(f"{path}: on disk, but the manifest does not list it")
+    if (on_disk := path.stat().st_size) != files[rel]:
+        raise ValueError(f"{path}: {on_disk} bytes, but the manifest lists {files[rel]}")
     return load_ctns(path).data
 
 

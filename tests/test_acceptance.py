@@ -32,7 +32,6 @@ from coopforge.domains import (
 from coopforge.langevin import LangevinConfig, revise
 from coopforge.metrics import FeatureMap, frechet_distance, mode_coverage, psnr
 from coopforge.networks import (
-    EnergyModel,
     ImageTranslator,
     PointScorer,
     PointTranslator,
@@ -146,7 +145,6 @@ def _composite_loss_cases():
     f64 = dict(dtype=np.float64)
 
     scorer = PointScorer(dim=2, hidden=(5, 4), seed=51, name="s", **f64)
-    model = EnergyModel(scorer, reference_scale=0.7)
     pts = Tensor(rng_.normal(size=(3, 2)))
 
     g_xy = _perturbed(PointTranslator(dim=2, hidden=6, blocks=2, seed=52, name="gxy", **f64), 1)
@@ -185,8 +183,8 @@ def _composite_loss_cases():
     # The root the trainer descends: both translations recorded, the
     # objective on them, minus each energy model's surrogate. Revisions are
     # constants of the root, drawn here once near the translations.
-    ebm_x = EnergyModel(_perturbed(PointScorer(dim=2, hidden=(5, 4), seed=59, name="ex", **f64), 8), 0.7)
-    ebm_y = EnergyModel(_perturbed(PointScorer(dim=2, hidden=(5, 4), seed=60, name="ey", **f64), 9), 0.7)
+    ebm_x = _perturbed(PointScorer(dim=2, hidden=(5, 4), seed=59, name="ex", **f64), 8)
+    ebm_y = _perturbed(PointScorer(dim=2, hidden=(5, 4), seed=60, name="ey", **f64), 9)
     x_tilde = g_yx.forward(Tensor(yb)).data + 0.1 * rng_.normal(size=(4, 2))
     y_tilde = g_xy.forward(Tensor(xb)).data + 0.1 * rng_.normal(size=(4, 2))
 
@@ -195,11 +193,11 @@ def _composite_loss_cases():
         loss = image_objective(g_xy, g_yx, xb, yb, x_moved, y_moved, x_tilde, y_tilde, weights)
         return loss - ebm_surrogate(ebm_x, xb, x_tilde) - ebm_surrogate(ebm_y, yb, y_tilde)
     root_params = dict(both)
-    for tag, model_ in (("ex", ebm_x), ("ey", ebm_y)):
-        root_params.update({f"{tag}.{k}": v for k, v in model_.params.items()})
+    for tag, net in (("ex", ebm_x), ("ey", ebm_y)):
+        root_params.update({f"{tag}.{k}": v for k, v in net.params.items()})
 
     return {
-        "energy": (scorer.params, lambda: model.energy_sum(pts), 1e-3),
+        "energy": (scorer.params, lambda: scorer.energy_sum(pts), 1e-3),
         "teach": (g_yx.params, lambda: teach_loss(g_yx.forward(Tensor(src)), tgt), 1e-3),
         "cycle": (both, lambda: round_trip_loss(g_xy, g_yx, xb, yb), 1e-3),
         "image_objective": (
@@ -219,13 +217,12 @@ def _energy_input_gradient_error() -> float:
     tape's reverse mode, as the same relative error grad_check reports."""
     rng_ = np.random.default_rng(300)
     scorer = _perturbed(PointScorer(dim=2, hidden=(5, 4), seed=58, name="s", dtype=np.float64), 7)
-    model = EnergyModel(scorer, reference_scale=0.7)
     x = rng_.normal(size=(3, 2))
     leaf = Tensor(x, requires_grad=True)
     with T.Graph() as g:
-        total = model.energy_sum(leaf)
+        total = scorer.energy_sum(leaf)
     tape = T.backward(g, total, {"x": leaf})["x"]
-    closed = model.energy_grad(x)
+    closed = scorer.energy_grad(x)
     scale = np.maximum(np.maximum(np.abs(closed), np.abs(tape)), 1e-6)
     return float(np.max(np.abs(closed - tape) / scale))
 
@@ -282,7 +279,7 @@ def test_criterion_1_composite_cases_stay_off_kinks(monkeypatch):
 
 def test_criterion_2_langevin_stationarity():
     t0 = time.perf_counter()
-    model = EnergyModel(ZeroScorer(dtype=np.float64), reference_scale=1.0)
+    model = ZeroScorer(dtype=np.float64)
     chains = np.random.default_rng(1005).standard_normal((1000, 2))
     out = revise(chains, model, LangevinConfig(steps=20000, step_size=0.01, noise_scale=1.0, seed=5))
     var = out.var(axis=0, ddof=1)
@@ -305,7 +302,7 @@ def test_criterion_2_langevin_stationarity():
 
 
 def test_criterion_3_noise_free_energy_descent():
-    model = EnergyModel(ZeroScorer(dtype=np.float64), reference_scale=1.0)
+    model = ZeroScorer(dtype=np.float64)
     step = 0.45  # step^2 = 0.2025 <= s^2/4
     x = np.random.default_rng(1006).normal(size=(64, 2)) * 3.0
     energy = model.energy_values(x)
@@ -338,7 +335,7 @@ def test_criterion_4_loss_identities():
     one = Tensor(np.float32(1.0))
     total = combine_sequence_losses(one, one, one, one, one, one, LossWeights()).item()
 
-    model = EnergyModel(PointScorer(dim=2, hidden=(6, 5), seed=62, name="s"), reference_scale=1.0)
+    model = PointScorer(dim=2, hidden=(6, 5), seed=62, name="s")
     a = np.random.default_rng(33).normal(size=(4, 2)).astype(np.float32)
     b = np.random.default_rng(34).normal(size=(4, 2)).astype(np.float32)
     fwd = ebm_grad(model, a, b)

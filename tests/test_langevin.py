@@ -9,12 +9,12 @@ import pytest
 
 from coopforge import tensor as T
 from coopforge.langevin import LangevinConfig, LangevinDiverged, energy_grad, revise
-from coopforge.networks import EnergyModel, PointScorer, ZeroScorer
+from coopforge.networks import PointScorer, ZeroScorer
 
 
 @pytest.fixture
 def reference_model():
-    return EnergyModel(ZeroScorer(), reference_scale=1.0)
+    return ZeroScorer()
 
 
 class TestBasics:
@@ -66,9 +66,8 @@ class TestBasics:
 
     def test_energy_grad_leaves_params_free(self):
         net = PointScorer(dim=2, hidden=(4,), seed=0, name="s")
-        model = EnergyModel(net, reference_scale=1.0)
         x = np.zeros((2, 2), dtype=np.float32)
-        energy_grad(model, x)
+        energy_grad(net, x)
         assert all(p.requires_grad for p in net.params.values())
 
     @pytest.mark.parametrize("scorer", [PointScorer(dim=2, hidden=(4,), seed=0, name="s"), ZeroScorer()], ids=["point", "zero"])
@@ -79,7 +78,7 @@ class TestBasics:
         monkeypatch.setattr(T, "backward", refuse)
         monkeypatch.setattr(T.Graph, "__enter__", refuse)
         x0 = np.random.default_rng(5).normal(size=(3, 2)).astype(np.float32)
-        out = revise(x0, EnergyModel(scorer, reference_scale=1.0), LangevinConfig(steps=3, step_size=0.1, seed=1))
+        out = revise(x0, scorer, LangevinConfig(steps=3, step_size=0.1, seed=1))
         assert np.isfinite(out).all() and not np.array_equal(out, x0)
 
 
@@ -124,8 +123,7 @@ class TestChainIndependence:
         # Matmul-backed scorers evaluate batched rows through BLAS kernels
         # whose summation order differs between batch sizes; chains agree to
         # float32 accuracy rather than bitwise.
-        net = PointScorer(dim=2, hidden=(16,), seed=5, name="s")
-        model = EnergyModel(net, reference_scale=1.0)
+        model = PointScorer(dim=2, hidden=(16,), seed=5, name="s")
         x0 = np.random.default_rng(4).normal(size=(4, 2)).astype(np.float32)
         cfg = LangevinConfig(steps=15, step_size=0.02, seed=9)
         batched = revise(x0, model, cfg)

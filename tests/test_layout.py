@@ -1,11 +1,12 @@
 """Module boundaries: no coopforge module imports another module's private names,
 only the trainer imports the training losses, metrics import nothing of
 coopforge but its random streams, gradients travel only as ``backward``'s
-return value, only ``Net.load`` rebinds a parameter, and every name the
-benchmark's tracer wraps still exists."""
+return value, only ``Net.load`` rebinds a parameter, only scorers carry an
+energy, and every name the benchmark imports, wraps or patches still exists."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,3 +102,27 @@ def test_names_the_tracer_wraps_exist():
     missing = [f"{module}.{attr}" for _, module, attr in tables["FUNCTIONS"] if not hasattr(importlib.import_module(module), attr)]
     missing += [f"networks.{cls}.forward" for cls in tables["NETWORKS"] if "forward" not in vars(getattr(networks, cls, object))]
     assert tables["FUNCTIONS"] and tables["NETWORKS"] and missing == []
+
+
+def test_only_scorers_carry_an_energy():
+    # Net is parameter bookkeeping; the energy and its input gradient belong to Scorer
+    net = importlib.import_module("coopforge.networks").Net
+    assert [name for name in dir(net) if name == "input_grad" or name.startswith("energy_")] == []
+
+
+def test_names_the_benchmark_imports_exist():
+    # perfbench imports these by name and patches the trainer's two iteration
+    # functions; parse it without importing it
+    missing = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "coopforge":
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{path.name}:{node.lineno} {node.module}.{a.name}"
+                    for a in node.names
+                    if not hasattr(module, a.name) and importlib.util.find_spec(f"{node.module}.{a.name}") is None
+                ]
+    trainer = importlib.import_module("coopforge.trainer")
+    missing += [f"trainer.{name}" for name in ("train_iteration", "train_sequence_iteration") if not hasattr(trainer, name)]
+    assert missing == []

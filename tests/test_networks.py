@@ -6,11 +6,11 @@ import pytest
 
 from coopforge import tensor as T
 from coopforge.networks import (
-    EnergyModel,
     ImageScorer,
     ImageTranslator,
     PointScorer,
     PointTranslator,
+    Scorer,
     TemporalPredictor,
     ZeroScorer,
     build_scorer,
@@ -99,9 +99,8 @@ class TestParameterVector:
 class TestEnergyModel:
     def test_formula_against_numpy_oracle(self):
         # Replicate the MLP forward with raw numpy and assemble the energy
-        # by hand; the model must agree to float32 precision.
+        # by hand; the scorer must agree to float32 precision.
         net = PointScorer(dim=2, hidden=(8, 8), seed=11, name="s", dtype=np.float64)
-        model = EnergyModel(net, reference_scale=0.5)
         x = np.random.default_rng(3).normal(size=(6, 2))
 
         def lrelu(v):
@@ -111,24 +110,18 @@ class TestEnergyModel:
         h = lrelu(x @ p["w0"] + p["b0"])
         h = lrelu(h @ p["w1"] + p["b1"])
         f = (h @ p["w2"] + p["b2"]).reshape(-1)
-        expected = -f + (x**2).sum(axis=1) / (2 * 0.5**2)
-        np.testing.assert_allclose(model.energy_values(x), expected, rtol=1e-12)
+        expected = -f + (x**2).sum(axis=1) / 2
+        np.testing.assert_allclose(net.energy_values(x), expected, rtol=1e-12)
 
     def test_zero_scorer_energy_is_pure_reference(self):
-        model = EnergyModel(ZeroScorer(), reference_scale=1.0)
         x = np.random.default_rng(4).normal(size=(5, 3)).astype(np.float32)
-        np.testing.assert_allclose(model.energy_values(x), (x**2).sum(axis=1) / 2, rtol=1e-6)
+        np.testing.assert_allclose(ZeroScorer().energy_values(x), (x**2).sum(axis=1) / 2, rtol=1e-6)
 
     def test_energy_sum_matches_each(self):
         net = PointScorer(dim=2, hidden=(4,), seed=12, name="s")
-        model = EnergyModel(net, reference_scale=1.0)
         x = Tensor(np.random.default_rng(5).normal(size=(4, 2)).astype(np.float32))
-        total = model.energy_sum(x).item()
-        assert total == pytest.approx(float(model.energy_each(x).data.sum()), rel=1e-6)
-
-    def test_reference_scale_validated(self):
-        with pytest.raises(ValueError, match="positive"):
-            EnergyModel(ZeroScorer(), reference_scale=0.0)
+        total = net.energy_sum(x).item()
+        assert total == pytest.approx(float(net.energy_each(x).data.sum()), rel=1e-6)
 
     def test_image_scorer_shape(self):
         net = ImageScorer(in_shape=(1, 16, 16), seed=0, name="s")
@@ -178,9 +171,9 @@ class TestInputGradients:
     )
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_energy_grad_matches_tape_of_energy_sum(self, make, shape, dtype):
-        model = EnergyModel(make(dtype), reference_scale=0.7)
+        scorer = make(dtype)
         x = np.random.default_rng(12).normal(size=shape).astype(dtype)
-        assert _bitwise_equal(model.energy_grad(x), _tape_input_grad(model.energy_sum, x))
+        assert _bitwise_equal(scorer.energy_grad(x), _tape_input_grad(scorer.energy_sum, x))
 
 
 def _select_leaky_relu(a, slope=0.2):
@@ -223,9 +216,8 @@ class TestGradientsThroughNetworks:
 
     def test_point_scorer_energy(self):
         net = PointScorer(dim=2, hidden=(5, 4), seed=21, name="s", dtype=np.float64)
-        model = EnergyModel(net, reference_scale=0.7)
         x = Tensor(np.random.default_rng(6).normal(size=(3, 2)))
-        report = grad_check(net.params, lambda: model.energy_sum(x))
+        report = grad_check(net.params, lambda: net.energy_sum(x))
         assert report.max_rel_error < 1e-4, report
 
     def test_image_scorer_energy(self):
@@ -233,9 +225,8 @@ class TestGradientsThroughNetworks:
             in_shape=(1, 8, 8), widths=(2, 3), filters=(3, 3), strides=(2, 2), dense=4,
             seed=22, name="s", dtype=np.float64,
         )
-        model = EnergyModel(net, reference_scale=1.0)
         x = Tensor(np.random.default_rng(7).normal(size=(2, 1, 8, 8)))
-        report = grad_check(net.params, lambda: model.energy_sum(x))
+        report = grad_check(net.params, lambda: net.energy_sum(x))
         assert report.max_rel_error < 1e-4, report
 
     def test_point_translator_loss(self):
@@ -282,6 +273,8 @@ class TestFactoriesAndScale:
         ):
             net = build(shape, 0, "n")
             assert isinstance(net, cls) and net.in_shape == shape
+            # scorers are the energy models; translators have no energy
+            assert isinstance(net, Scorer) == (build is build_scorer)
         with pytest.raises(T.ShapeError):
             build_scorer((2, 2), 0, "s")
 

@@ -6,10 +6,9 @@ import pytest
 
 from coopforge import tensor as T
 from coopforge.networks import (
-    EnergyModel,
-    Net,
     PointScorer,
     PointTranslator,
+    Scorer,
     TemporalPredictor,
 )
 from coopforge.objectives import (
@@ -28,7 +27,7 @@ from coopforge.tensor import Tensor, grad_check, numeric_grad
 from util import AddConstant, round_trip_loss
 
 
-class LinearScorer(Net):
+class LinearScorer(Scorer):
     """f(x; theta) = x . theta, so df/dtheta = x."""
 
     def __init__(self, dim: int, dtype=np.float64):
@@ -61,40 +60,36 @@ class TestEbmGrad:
     def test_linear_energy_closed_form(self):
         # f = theta.x with data {1, 3} and synth {0, 2}: the gradient is
         # mean(data) - mean(synth) = 2 - 1 = 1.
-        model = EnergyModel(LinearScorer(1), reference_scale=1.0)
-        grads = ebm_grad(model, np.array([[1.0], [3.0]]), np.array([[0.0], [2.0]]))
+        grads = ebm_grad(LinearScorer(1), np.array([[1.0], [3.0]]), np.array([[0.0], [2.0]]))
         assert grads["theta"].reshape(()) == 1.0
 
     def test_identical_batches_zero(self):
         net = PointScorer(dim=2, hidden=(8,), seed=1, name="s")
-        model = EnergyModel(net, reference_scale=1.0)
         batch = np.random.default_rng(0).normal(size=(4, 2)).astype(np.float32)
-        grads = ebm_grad(model, batch, batch)
+        grads = ebm_grad(net, batch, batch)
         for k, g in grads.items():
             assert not g.any(), k
 
     def test_antisymmetry_exact(self):
         net = PointScorer(dim=2, hidden=(8,), seed=2, name="s")
-        model = EnergyModel(net, reference_scale=1.0)
         rng_ = np.random.default_rng(1)
         a = rng_.normal(size=(3, 2)).astype(np.float32)
         b = rng_.normal(size=(5, 2)).astype(np.float32)
-        fwd = ebm_grad(model, a, b)
-        rev = ebm_grad(model, b, a)
+        fwd = ebm_grad(net, a, b)
+        rev = ebm_grad(net, b, a)
         for k in fwd:
             np.testing.assert_array_equal(fwd[k], -rev[k])
 
     def test_matches_finite_differences(self):
         net = PointScorer(dim=2, hidden=(6, 5), seed=3, name="s", dtype=np.float64)
-        model = EnergyModel(net, reference_scale=1.0)
         rng_ = np.random.default_rng(2)
         data = rng_.normal(size=(4, 2))
         synth = rng_.normal(size=(3, 2))
-        grads = ebm_grad(model, data, synth)
+        grads = ebm_grad(net, data, synth)
 
         def objective():
-            d = model.score(Tensor(data)).data.mean()
-            s = model.score(Tensor(synth)).data.mean()
+            d = net.forward(Tensor(data)).data.mean()
+            s = net.forward(Tensor(synth)).data.mean()
             return d - s
 
         for name, p in net.params.items():
@@ -105,21 +100,8 @@ class TestEbmGrad:
             assert rel.max() < 1e-4, name
 
     def test_empty_batch_rejected(self):
-        model = EnergyModel(LinearScorer(1), reference_scale=1.0)
         with pytest.raises(ValueError, match="non-empty"):
-            ebm_grad(model, np.zeros((0, 1)), np.ones((2, 1)))
-
-    def test_reference_term_contributes_nothing(self):
-        # Same scorer under two very different reference scales: the
-        # estimator reads only f, so results are identical.
-        net = PointScorer(dim=2, hidden=(4,), seed=4, name="s")
-        rng_ = np.random.default_rng(3)
-        a = rng_.normal(size=(3, 2)).astype(np.float32)
-        b = rng_.normal(size=(3, 2)).astype(np.float32)
-        g1 = ebm_grad(EnergyModel(net, 0.01), a, b)
-        g2 = ebm_grad(EnergyModel(net, 100.0), a, b)
-        for k in g1:
-            np.testing.assert_array_equal(g1[k], g2[k])
+            ebm_grad(LinearScorer(1), np.zeros((0, 1)), np.ones((2, 1)))
 
 
 class TestTeachLoss:

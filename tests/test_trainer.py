@@ -215,6 +215,16 @@ def test_init_state_sequences_has_predictors():
     assert "r_x" in state.opt and "r_y" in state.opt
 
 
+@pytest.mark.parametrize("pair, make_cfg", [((RING_X, RING_Y), ring_cfg), ((DOT_X, DOT_Y), dot_cfg)], ids=["points", "sequences"])
+def test_nets_are_the_state_fields(tmp_path, pair, make_cfg):
+    # one object per name: the field, the optimizer slot's network and the checkpoint file
+    cfg = make_cfg()
+    state = init_state(cfg, generate(pair[0]), generate(pair[1]))
+    loaded, *_ = load_checkpoint(save_checkpoint(state, cfg, *pair, tmp_path))
+    for s in (state, loaded):
+        assert all(net is getattr(s, name) for name, net in s.nets().items())
+
+
 def test_init_state_rejects_mismatched_domains():
     with pytest.raises(ValueError, match="kinds differ"):
         init_state(ring_cfg(), generate(RING_X), generate(DOT_Y))
@@ -421,7 +431,7 @@ def test_energy_step_matches_replayed_estimator(step, pair, make_cfg):
         model = getattr(twin, name)
         grads = ebm_grad(model, data, synth)
         ascent = -np.concatenate([grads[k].ravel() for k in model.params])
-        vector, (m, v) = adam_step(model.scorer.vector, ascent, twin.opt[name], cfg.lr, t + 1)
+        vector, (m, v) = adam_step(model.vector, ascent, twin.opt[name], cfg.lr, t + 1)
         assert state.nets()[name].vector.tobytes() == vector.tobytes(), name
         assert state.opt[name][0].tobytes() == m.tobytes(), name
         assert state.opt[name][1].tobytes() == v.tobytes(), name
@@ -796,6 +806,18 @@ def test_load_rejects_a_truncated_parameter_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(ValueError, match=rf"{path}: \d+ bytes, but the manifest lists \d+"):
         load_checkpoint(root)
+
+
+@pytest.mark.parametrize("rel", ["nets/g_xy.ctns", "adam/g_xy.m.ctns"])
+def test_load_rejects_a_file_the_manifest_does_not_list(tmp_path, rel):
+    cfg = ring_cfg(iterations=2, eval_every=2, checkpoint_every=2)
+    train(cfg, RING_X, RING_Y, tmp_path)
+    root = tmp_path / "ckpt_2"
+    manifest = json.loads((root / "manifest.json").read_text())
+    del manifest["files"][rel]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"{root / rel}: on disk, but the manifest does not list it"):
+        train(cfg, RING_X, RING_Y, tmp_path / "b", resume_from=root)
 
 
 def test_load_rejects_a_directory_without_manifest(tmp_path):
