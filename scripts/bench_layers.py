@@ -1,20 +1,22 @@
-"""Per-layer convolution and activation benchmark at the moving-dot recipe's call census.
+"""Per-layer convolution, activation and Adam benchmark at the moving-dot recipe's call census.
 
     python3 scripts/bench_layers.py --out layers.json
     python3 scripts/bench_layers.py --src /path/to/other/checkout/src --out other.json
 
 The census is read from the program itself: ``conv2d``,
-``conv2d_transpose`` and ``leaky_relu`` are counted during a 3-iteration and
-a 1-iteration dot run (``perfbench/recipes.py``), and the difference over
-two iterations is what one training iteration calls. A convolution is keyed
-by its op, input and kernel shapes, stride, pads, bias, dtype, which inputs
-need a gradient and whether a tape records it; an activation by its op,
-input shape, dtype, whether its input needs a gradient and whether a tape
-records it. Each key counts its forward calls and the backward calls the
-tape made.
+``conv2d_transpose``, ``leaky_relu`` and ``trainer.adam_step`` are counted
+during a 3-iteration and a 1-iteration dot run (``perfbench/recipes.py``),
+and the difference over two iterations is what one training iteration
+calls. A convolution is keyed by its op, input and kernel shapes, stride,
+pads, bias, dtype, which inputs need a gradient and whether a tape records
+it; an activation by its op, input shape, dtype, whether its input needs a
+gradient and whether a tape records it; an Adam step by its parameter
+vector's shape and dtype (one key per network size, never taped). Each key
+counts its forward calls and the backward calls the tape made.
 
 Every key is then timed on seeded inputs: the forward (on a tape when the
-census saw one) and the recorded backward. One repeat times every key
+census saw one) and the recorded backward; an Adam step's forward is one
+``adam_step`` call at step 1,000. One repeat times every key
 once, so each repeat also gives per-iteration totals, the sums of call
 count times time: forward, backward, both, and both per op. The output
 holds, per key and for the totals, the median and quartiles over the
@@ -42,10 +44,11 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 CONVS = ("conv2d", "conv2d_transpose")
-OPS = CONVS + ("leaky_relu",)
+OPS = CONVS + ("leaky_relu", "adam_step")
 NAMES = {
     **dict.fromkeys(CONVS, ("op", "x", "w", "stride", "pad", "out_pad", "bias", "dtype", "need_x", "need_w", "need_b", "taped")),
     "leaky_relu": ("op", "x", "dtype", "need_x", "taped"),
+    "adam_step": ("op", "x", "dtype", "taped"),
 }
 REPEATS = 41  # timed passes over the whole census
 INNER = 5  # calls per key per pass
@@ -71,13 +74,18 @@ def _conv_key(T, op, x, w, b=None, **kwargs) -> tuple:
     )
 
 
-_KEYS = {**dict.fromkeys(CONVS, _conv_key), "leaky_relu": _activation_key}
+def _adam_key(T, op, param, *args) -> tuple:
+    return (op, tuple(param.shape), param.dtype.name, False)
+
+
+_KEYS = {**dict.fromkeys(CONVS, _conv_key), "leaky_relu": _activation_key, "adam_step": _adam_key}
 
 
 def census(T, trainer, recipes) -> dict:
     """Forward and backward calls per dot training iteration, by call key."""
     counts = {"fwd": Counter(), "bwd": Counter()}
-    originals = {op: getattr(T, op) for op in OPS}
+    owners = {op: trainer if op == "adam_step" else T for op in OPS}
+    originals = {op: getattr(owners[op], op) for op in OPS}
 
     def counting(op):
         def wrapped(*args, **kwargs):
@@ -85,7 +93,7 @@ def census(T, trainer, recipes) -> dict:
             counts["fwd"][key] += 1
             out = originals[op](*args, **kwargs)
             graphs = T._active_graphs
-            if out.requires_grad and graphs and graphs[-1].nodes[-1].out is out:
+            if isinstance(out, T.Tensor) and out.requires_grad and graphs and graphs[-1].nodes[-1].out is out:
                 node = graphs[-1].nodes[-1]
                 bwd = node.bwd
 
@@ -107,12 +115,12 @@ def census(T, trainer, recipes) -> dict:
         return {kind: Counter(c) for kind, c in counts.items()}
 
     for op in OPS:
-        setattr(T, op, counting(op))
+        setattr(owners[op], op, counting(op))
     try:
         one, three = run(1), run(3)
     finally:
         for op, fn in originals.items():
-            setattr(T, op, fn)
+            setattr(owners[op], op, fn)
     keys = sorted(set(three["fwd"]) | set(one["fwd"]))
     per_iter = {}
     for key in keys:
@@ -123,9 +131,15 @@ def census(T, trainer, recipes) -> dict:
     return per_iter
 
 
-def _inputs(T, np, key, seed):
-    """The op and its arguments for one timed call; an activation runs at the networks' slope 0.2."""
+def _inputs(T, trainer, np, key, seed):
+    """The op and its arguments for one timed call; an activation runs at the
+    networks' slope 0.2, an Adam step at rate 2e-4 as step 1,000."""
     rng = np.random.default_rng(seed)
+    if key[0] == "adam_step":
+        _, xs, dtype, _ = key
+        param, grad, m = (rng.normal(size=xs).astype(dtype) for _ in range(3))
+        v = (1e-3 * rng.random(size=xs)).astype(dtype)
+        return trainer.adam_step, (param, grad, (m, v), 2e-4, 1000), {}
     if key[0] == "leaky_relu":
         _, xs, dtype, need_x, _ = key
         return T.leaky_relu, (T.Tensor(rng.normal(size=xs).astype(dtype), requires_grad=need_x), 0.2), {}
@@ -140,9 +154,9 @@ def _inputs(T, np, key, seed):
     return getattr(T, op), (x, w, b), kwargs
 
 
-def time_key(T, np, key, inner: int) -> tuple[float, float]:
+def time_key(T, trainer, np, key, inner: int) -> tuple[float, float]:
     """Mean ms of one forward and of one recorded backward, over ``inner`` calls."""
-    fn, args, kwargs = _inputs(T, np, key, seed=0)
+    fn, args, kwargs = _inputs(T, trainer, np, key, seed=0)
     recorded = key[-1]
     start = time.perf_counter()
     for _ in range(inner):
@@ -197,13 +211,13 @@ def main(argv=None) -> int:
 
     calls = census(T, trainer, recipes)
     for key in calls:  # warm-up: first calls allocate and fault in memory
-        time_key(T, np, key, 1)
+        time_key(T, trainer, np, key, 1)
     samples = {key: ([], []) for key in calls}
     totals = {kind: [] for kind in ("fwd", "bwd", "all") + OPS}
     for _ in range(REPEATS):
         run = dict.fromkeys(totals, 0.0)
         for key, (n_fwd, n_bwd) in calls.items():
-            fwd, bwd = time_key(T, np, key, INNER)
+            fwd, bwd = time_key(T, trainer, np, key, INNER)
             samples[key][0].append(fwd)
             samples[key][1].append(bwd)
             run["fwd"] += n_fwd * fwd

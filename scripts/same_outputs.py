@@ -25,7 +25,9 @@ found on one side only whose hash equals that of a file found on the other
 side only prints as ``moved: <parent path> -> <change path>``. A ``.json``
 file that differs is followed by each dotted key whose value differs, as
 ``<key>: <parent value> -> <change value>``, ``absent`` standing for a key
-that side does not have.
+that side does not have. A ``metrics.csv`` that differs is followed by each
+column whose values differ, other than ``seconds``, as ``<column>: <k> of
+<n> rows differ, first at iter <i>: <parent value> -> <change value>``.
 """
 
 import argparse
@@ -100,12 +102,17 @@ def run_side(out: str) -> None:
                 raise RuntimeError(f"coopforge {command} failed on {name}")
 
 
+def _metrics_rows(path: Path) -> list[list[str]]:
+    """The header and rows of a metrics.csv, its ``seconds`` column dropped."""
+    lines = [row.split(",") for row in path.read_text().splitlines()]
+    drop = lines[0].index("seconds")
+    return [[v for i, v in enumerate(row) if i != drop] for row in lines]
+
+
 def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "metrics.csv":
-        lines = [row.split(",") for row in data.decode().splitlines()]
-        drop = lines[0].index("seconds")
-        data = "\n".join(",".join(v for i, v in enumerate(row) if i != drop) for row in lines).encode()
+        data = "\n".join(",".join(row) for row in _metrics_rows(path)).encode()
     return hashlib.sha256(data).hexdigest()
 
 
@@ -152,6 +159,20 @@ def _json_changes(parent: Path, change: Path) -> list[str]:
     return lines
 
 
+def _csv_changes(parent: Path, change: Path) -> list[str]:
+    """One line per metrics.csv column whose values differ, with its first difference."""
+    (old_header, *old_rows), (new_header, *new_rows) = (_metrics_rows(p) for p in (parent, change))
+    if old_header != new_header or len(old_rows) != len(new_rows):
+        return [f"layout: {len(old_rows)} rows of {old_header} -> {len(new_rows)} rows of {new_header}"]
+    lines = []
+    for col, name in enumerate(old_header):
+        rows = [(old[0], old[col], new[col]) for old, new in zip(old_rows, new_rows) if old[col] != new[col]]
+        if rows:
+            it, was, now = rows[0]
+            lines.append(f"{name}: {len(rows)} of {len(old_rows)} rows differ, first at iter {it}: {was} -> {now}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="root of the parent coopforge checkout")
@@ -171,9 +192,13 @@ def main(argv=None) -> int:
                 print(f"moved: {name} -> {moves[name]}")
             elif len(where) == 2:
                 print(f"differs: {name}")
+                lines = []
                 if name.endswith(".json"):
-                    for line in _json_changes(outs["parent"] / name, outs["change"] / name):
-                        print(f"  {line}")
+                    lines = _json_changes(outs["parent"] / name, outs["change"] / name)
+                elif name.endswith("metrics.csv"):
+                    lines = _csv_changes(outs["parent"] / name, outs["change"] / name)
+                for line in lines:
+                    print(f"  {line}")
             elif name not in moves.values():
                 print(f"only in {where[0]}: {name}")
     print(f"{len(names)} files compared, {len(differ)} differ")

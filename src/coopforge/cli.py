@@ -295,7 +295,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     lng = replace(cfg.langevin, **_given(args, _SAMPLER_FLAGS))
     gen = stream(args.seed, PURPOSE_DATA, a=args.count, b=0)
     x0 = gen.standard_normal((args.count,) + model.in_shape).astype(np.float32)
-    samples = revise(x0, model, lng)
+    samples, _ = revise(x0, model, lng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_ctns(samples, out / "samples.ctns")

@@ -49,7 +49,7 @@ def translate_sequence(batch: np.ndarray, g: Net, p: Scorer, cfg: LangevinConfig
     arr = np.asarray(batch)
     if arr.ndim not in (2, 4) or arr.shape[0] == 0:
         raise ShapeError(f"expected a non-empty (n, d) point batch or (n, C, H, W) frames, got shape {arr.shape}")
-    return revise(run_translator(g, arr), p, cfg)
+    return revise(run_translator(g, arr), p, cfg)[0]
 
 
 def eval_descriptor(desc: DomainDescriptor, cfg) -> DomainDescriptor:
@@ -100,8 +100,8 @@ def refinement_scores(state, eval_x: np.ndarray, eval_y: np.ndarray, cfg, fm: Fe
     return {
         "fd_init_x": frechet_distance(to_y, eval_y, fm),
         "fd_init_y": frechet_distance(to_x, eval_x, fm),
-        "fd_revised_x": frechet_distance(revise(to_y, state.ebm_y, lng), eval_y, fm),
-        "fd_revised_y": frechet_distance(revise(to_x, state.ebm_x, lng), eval_x, fm),
+        "fd_revised_x": frechet_distance(revise(to_y, state.ebm_y, lng)[0], eval_y, fm),
+        "fd_revised_y": frechet_distance(revise(to_x, state.ebm_x, lng)[0], eval_x, fm),
     }
 
 
@@ -118,7 +118,7 @@ def write_grid(state, eval_x: np.ndarray, cfg, path: Path, kind: str) -> None:
     """Input | translated | revised triptych, rows of samples, display-clamped."""
     frames = eval_x if kind == "points" else eval_x[:6] if kind == "images" else eval_x[:6, 0]
     moved = run_translator(state.g_xy, frames)
-    revised = revise(moved, state.ebm_y, eval_langevin(cfg))
+    revised, _ = revise(moved, state.ebm_y, eval_langevin(cfg))
     if kind == "points":
         grid = np.concatenate([rasterize_points(p) for p in (frames, moved, revised)], axis=1)
     else:

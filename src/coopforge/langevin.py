@@ -45,8 +45,9 @@ class LangevinDiverged(RuntimeError):
     """Chain state left the trusted region or went non-finite."""
 
 
-def energy_grad(model: Scorer, x: np.ndarray) -> np.ndarray:
-    """dE/dx of the scorer's energy for a batch, parameters frozen, no graph retained."""
+def energy_grad(model: Scorer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scores f(x) and dE/dx of the scorer's energy for a batch, parameters
+    frozen, no graph retained."""
     return model.energy_grad(x)
 
 
@@ -58,8 +59,13 @@ def _check_state(x: np.ndarray, step: int) -> None:
         raise LangevinDiverged(f"state magnitude {peak:.3e} exceeds {_DIVERGENCE_LIMIT:.0e} at step {step}")
 
 
-def revise(x0: np.ndarray, model: Scorer, cfg: LangevinConfig, chain_offset: int = 0) -> np.ndarray:
+def revise(x0: np.ndarray, model: Scorer, cfg: LangevinConfig, chain_offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Run ``cfg.steps`` Langevin steps on the energy of ``model`` from each row of ``x0``.
+
+    Returns the revised batch and each chain's starting energy, equal bit for
+    bit to ``model.energy_values(x0)``. The energies are read off the scores
+    of the first step's ``energy_grad``; only when no step runs (steps = 0 or
+    an empty batch) are they a forward of their own.
 
     The input is never mutated. Chain i draws from the stream keyed
     (cfg.seed, chain_offset + i), so results are bitwise independent of how
@@ -74,12 +80,13 @@ def revise(x0: np.ndarray, model: Scorer, cfg: LangevinConfig, chain_offset: int
         raise LangevinDiverged("non-finite state at step 0 (initial batch)")
     x = x0.copy()
     if cfg.steps == 0 or x.size == 0:
-        return x
+        return x, model.energy_values(x)
     n = x.shape[0]
     half_sq = 0.5 * cfg.step_size * cfg.step_size
     noise_coef = cfg.noise_scale * cfg.step_size
     gens = [rng.chain_stream(cfg.seed, chain_offset + i) for i in range(n)]
     sample_shape = x.shape[1:]
+    energies = None
     done = 0
     while done < cfg.steps:
         block = min(_NOISE_BLOCK, cfg.steps - done)
@@ -90,11 +97,13 @@ def revise(x0: np.ndarray, model: Scorer, cfg: LangevinConfig, chain_offset: int
         else:
             noise = None  # eta = 0: deterministic descent, no draws needed
         for j in range(block):
-            grad = energy_grad(model, x)
+            scores, grad = energy_grad(model, x)
+            if energies is None:  # the first step: x is still x0
+                energies = model.energy_of_scores(x, scores)
             if noise is None:
                 x += -half_sq * grad
             else:
                 x += -half_sq * grad + noise_coef * noise[:, j]
             _check_state(x, done + j + 1)
         done += block
-    return x
+    return x, energies

@@ -99,8 +99,8 @@ class Net:
 class Scorer(Net):
     """A score function f, (n, ...) -> (n,), owning its energy E(x) = -f(x) + ||x||^2 / 2."""
 
-    def input_grad(self, x: np.ndarray) -> np.ndarray:
-        """d(sum_i f(x_i))/dx with parameters frozen, by a throwaway tape.
+    def score_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f(x) and d(sum_i f(x_i))/dx with parameters frozen, by a throwaway tape.
 
         Scorers with a closed form override this; theirs must equal it bitwise.
         """
@@ -110,8 +110,9 @@ class Scorer(Net):
             p.requires_grad = False
         try:
             with T.Graph() as g:
-                total = self.forward(leaf).sum()
-            return T.backward(g, total, {"x": leaf})["x"]
+                scores = self.forward(leaf)
+                total = scores.sum()
+            return scores.data, T.backward(g, total, {"x": leaf})["x"]
         finally:
             for p in frozen:
                 p.requires_grad = True
@@ -125,13 +126,19 @@ class Scorer(Net):
         """Total energy of a batch on the tape; ``energy_grad`` equals its input gradient bitwise."""
         return self.energy_each(x).sum()
 
-    def energy_grad(self, x: np.ndarray) -> np.ndarray:
-        """dE/dx for a batch, parameters frozen: -df/dx + x."""
-        return -self.input_grad(x) + x
+    def energy_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f(x) and dE/dx = -df/dx + x for a batch, parameters frozen, from one pass."""
+        scores, g = self.score_grad(x)
+        return scores, -g + x
 
     def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Per-sample energies in eval mode (no tape, plain arrays in/out)."""
         return self.energy_each(Tensor(np.asarray(x))).data
+
+    @staticmethod
+    def energy_of_scores(x: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """``energy_values(x)`` bit for bit, from the scores f(x) a pass already computed."""
+        return -scores + (x * x).sum(axis=tuple(range(1, x.ndim))) * x.dtype.type(0.5)
 
 
 class PointScorer(Scorer):
@@ -154,7 +161,7 @@ class PointScorer(Scorer):
                 h = T.leaky_relu(h, 0.2)
         return h.reshape(h.shape[0])
 
-    def input_grad(self, x: np.ndarray) -> np.ndarray:
+    def score_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form backprop of a ones column, in the tape's op order and kernels."""
         pre = []
         h = x
@@ -168,7 +175,7 @@ class PointScorer(Scorer):
             if i < self.depth - 1:
                 g = g * np.maximum(pre[i] >= 0, g.dtype.type(0.2))
             g = g @ self.params[f"w{i}"].data.T
-        return g
+        return h.reshape(h.shape[0]), g
 
 
 class ImageScorer(Scorer):
@@ -244,8 +251,8 @@ class ZeroScorer(Scorer):
     def forward(self, x: Tensor) -> Tensor:
         return Tensor(np.zeros(x.shape[0], dtype=x.dtype))
 
-    def input_grad(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
+    def score_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(x.shape[0], dtype=x.dtype), np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------

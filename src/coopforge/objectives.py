@@ -67,17 +67,20 @@ def _tensor(batch) -> Tensor:
     return batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
 
 
-def ebm_surrogate(model: Scorer, data_batch, synth_batch) -> Tensor:
+def ebm_surrogate(model: Scorer, data_batch, synth_batch) -> tuple[Tensor, Tensor]:
     """mean f(data) - mean f(synth): the scalar whose gradient is the
-    energy model's ascent direction. Both batches are constants, so only
-    the score network's parameters receive gradient; the Gaussian reference
-    term carries none.
+    energy model's ascent direction, and f(synth), the synthesized batch's
+    scores it recorded. Both batches are constants, so only the score
+    network's parameters receive gradient; the Gaussian reference term
+    carries none.
     """
     data = _constant(data_batch)
     synth = _constant(synth_batch)
     if data.shape[0] == 0 or synth.shape[0] == 0:
         raise ValueError("ebm_surrogate: batches must be non-empty")
-    return model.forward(data).mean() - model.forward(synth).mean()
+    data_mean = model.forward(data).mean()
+    synth_scores = model.forward(synth)
+    return data_mean - synth_scores.mean(), synth_scores
 
 
 def ebm_grad(model: Scorer, data_batch, synth_batch) -> dict[str, np.ndarray]:
@@ -86,7 +89,7 @@ def ebm_grad(model: Scorer, data_batch, synth_batch) -> dict[str, np.ndarray]:
     batches negates the result exactly.
     """
     with Graph() as g:
-        surrogate = ebm_surrogate(model, data_batch, synth_batch)
+        surrogate, _ = ebm_surrogate(model, data_batch, synth_batch)
     return backward(g, surrogate, model.params)
 
 

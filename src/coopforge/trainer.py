@@ -9,7 +9,10 @@ at the iteration-start parameters: the energy models ascend their
 surrogates, the translators (and the temporal predictors in sequence mode)
 descend the objective. Energy models step first. A mode supplies only its
 batches and its objective (``image_objective`` or ``sequence_objective``);
-a failed phase rolls the whole iteration back. Optimizer slots and
+a failed phase rolls the whole iteration back. The iteration's stats run no
+forward of their own: ``energy_init`` and ``energy_revised`` are read under
+the iteration-start parameters, off ``revise``'s starting energies and off
+the surrogates' scores of the revised batches. Optimizer slots and
 checkpoint files are keyed by the names of ``TrainState.nets()``. Every
 network takes exactly one Adam step per iteration, so the iteration clock
 ``TrainState.t`` is also Adam's step count: the step of iteration t is
@@ -157,7 +160,8 @@ def adam_step(
     """One bias-corrected Adam update; returns (new param, new moments).
 
     Descends the supplied gradient; the energy models ascend because the
-    trainer's root subtracts their surrogates. Pure: nothing is mutated.
+    trainer's root subtracts their surrogates. Pure: nothing is mutated, and
+    the three results are new arrays that share no memory with the inputs.
     """
     m0, v0 = moments
     if not (param.shape == grad.shape == m0.shape == v0.shape):
@@ -167,11 +171,26 @@ def adam_step(
         )
     if t < 1:
         raise ValueError("Adam step count starts at 1")
-    m = _BETA1 * m0 + (1.0 - _BETA1) * grad
-    v = _BETA2 * v0 + (1.0 - _BETA2) * (grad * grad)
-    m_hat = m / (1.0 - _BETA1**t)
-    v_hat = v / (1.0 - _BETA2**t)
-    return param - rate * m_hat / (np.sqrt(v_hat) + _EPS), (m, v)
+    # m = b1 m0 + (1 - b1) g;  v = b2 v0 + (1 - b2) g^2;  with bias-corrected
+    # m_hat and v_hat, param - rate m_hat / (sqrt(v_hat) + eps): each op in
+    # that order, written into the three returned arrays and one scratch
+    dtype = np.result_type(param, grad, m0, v0)
+    m, v, new, scratch = (np.empty(param.shape, dtype) for _ in range(4))
+    np.multiply(m0, _BETA1, out=m)
+    np.multiply(grad, 1.0 - _BETA1, out=scratch)
+    np.add(m, scratch, out=m)
+    np.multiply(v0, _BETA2, out=v)
+    np.multiply(grad, grad, out=scratch)
+    np.multiply(scratch, 1.0 - _BETA2, out=scratch)
+    np.add(v, scratch, out=v)
+    np.divide(v, 1.0 - _BETA2**t, out=new)  # v_hat
+    np.sqrt(new, out=new)
+    np.add(new, _EPS, out=new)
+    np.divide(m, 1.0 - _BETA1**t, out=scratch)  # m_hat
+    np.multiply(scratch, rate, out=scratch)
+    np.divide(scratch, new, out=scratch)
+    np.subtract(param, scratch, out=new)
+    return new, (m, v)
 
 
 def _first_non_finite(model, flat: np.ndarray) -> str:
@@ -249,18 +268,11 @@ def _rollback(state: TrainState, snap) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _revise_or_abort(x0: np.ndarray, model: Scorer, cfg: TrainConfig, offset: int, phase: str) -> np.ndarray:
+def _revise_or_abort(x0: np.ndarray, model: Scorer, cfg: TrainConfig, offset: int, phase: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         return revise(x0, model, cfg.langevin, chain_offset=offset)
     except LangevinDiverged as err:
         raise TrainPhaseError(phase, str(err)) from err
-
-
-def _iteration_stats(state: TrainState, x_hat, x_tilde, y_hat, y_tilde) -> None:
-    e_init = 0.5 * (state.ebm_x.energy_values(x_hat).mean() + state.ebm_y.energy_values(y_hat).mean())
-    e_rev = 0.5 * (state.ebm_x.energy_values(x_tilde).mean() + state.ebm_y.energy_values(y_tilde).mean())
-    teach = teach_loss(x_hat, x_tilde).data + teach_loss(y_hat, y_tilde).data
-    state.last = {"energy_init": float(e_init), "energy_revised": float(e_rev), "teach_loss": float(teach)}
 
 
 def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data: np.ndarray, objective) -> TrainState:
@@ -274,6 +286,11 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
     its own, so the root's gradient is each energy model's negated ascent
     direction and every other network's objective gradient. A failed phase
     restores the starting parameters and moments.
+
+    The stats in ``state.last`` need no forward of their own: the mean
+    energies of the translations and of their revisions, under the energy
+    models that revised them, are read off ``revise`` and off the
+    surrogates' scores of the revised batches.
     """
     t = state.t
     snap = _snapshot(state)
@@ -285,12 +302,14 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
         x_hat, y_hat = x_moved.data, y_moved.data
 
         n = len(y_data)
-        x_tilde = _revise_or_abort(x_hat, state.ebm_x, cfg, 2 * t * n, "langevin_x")
-        y_tilde = _revise_or_abort(y_hat, state.ebm_y, cfg, (2 * t + 1) * n, "langevin_y")
+        x_tilde, x_init = _revise_or_abort(x_hat, state.ebm_x, cfg, 2 * t * n, "langevin_x")
+        y_tilde, y_init = _revise_or_abort(y_hat, state.ebm_y, cfg, (2 * t + 1) * n, "langevin_y")
 
         with graph:
             loss = objective(x_moved, y_moved, x_tilde, y_tilde)
-            root = loss - ebm_surrogate(state.ebm_x, x_data, x_tilde) - ebm_surrogate(state.ebm_y, y_data, y_tilde)
+            x_surrogate, x_scores = ebm_surrogate(state.ebm_x, x_data, x_tilde)
+            y_surrogate, y_scores = ebm_surrogate(state.ebm_y, y_data, y_tilde)
+            root = loss - x_surrogate - y_surrogate
         if not np.isfinite(loss.data):
             raise TrainPhaseError("objective", f"non-finite translator loss {loss.data!r}")
         groups = state.groups()
@@ -303,7 +322,13 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
         _rollback(state, snap)
         raise
 
-    _iteration_stats(state, x_hat, x_tilde, y_hat, y_tilde)
+    x_revised = Scorer.energy_of_scores(x_tilde, x_scores.data)
+    y_revised = Scorer.energy_of_scores(y_tilde, y_scores.data)
+    state.last = {
+        "energy_init": float(0.5 * (x_init.mean() + y_init.mean())),
+        "energy_revised": float(0.5 * (x_revised.mean() + y_revised.mean())),
+        "teach_loss": float(teach_loss(x_hat, x_tilde).data + teach_loss(y_hat, y_tilde).data),
+    }
     state.t = t + 1
     return state
 

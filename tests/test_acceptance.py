@@ -191,7 +191,7 @@ def _composite_loss_cases():
     def root():
         x_moved, y_moved = g_yx.forward(Tensor(yb)), g_xy.forward(Tensor(xb))
         loss = image_objective(g_xy, g_yx, xb, yb, x_moved, y_moved, x_tilde, y_tilde, weights)
-        return loss - ebm_surrogate(ebm_x, xb, x_tilde) - ebm_surrogate(ebm_y, yb, y_tilde)
+        return loss - ebm_surrogate(ebm_x, xb, x_tilde)[0] - ebm_surrogate(ebm_y, yb, y_tilde)[0]
     root_params = dict(both)
     for tag, net in (("ex", ebm_x), ("ey", ebm_y)):
         root_params.update({f"{tag}.{k}": v for k, v in net.params.items()})
@@ -222,7 +222,7 @@ def _energy_input_gradient_error() -> float:
     with T.Graph() as g:
         total = scorer.energy_sum(leaf)
     tape = T.backward(g, total, {"x": leaf})["x"]
-    closed = scorer.energy_grad(x)
+    _, closed = scorer.energy_grad(x)
     scale = np.maximum(np.maximum(np.abs(closed), np.abs(tape)), 1e-6)
     return float(np.max(np.abs(closed - tape) / scale))
 
@@ -281,7 +281,7 @@ def test_criterion_2_langevin_stationarity():
     t0 = time.perf_counter()
     model = ZeroScorer(dtype=np.float64)
     chains = np.random.default_rng(1005).standard_normal((1000, 2))
-    out = revise(chains, model, LangevinConfig(steps=20000, step_size=0.01, noise_scale=1.0, seed=5))
+    out, _ = revise(chains, model, LangevinConfig(steps=20000, step_size=0.01, noise_scale=1.0, seed=5))
     var = out.var(axis=0, ddof=1)
     mean = out.mean(axis=0)
     elapsed = time.perf_counter() - t0
@@ -308,7 +308,7 @@ def test_criterion_3_noise_free_energy_descent():
     energy = model.energy_values(x)
     violations = 0
     for _ in range(200):
-        x = revise(x, model, LangevinConfig(steps=1, step_size=step, noise_scale=0.0))
+        x, _ = revise(x, model, LangevinConfig(steps=1, step_size=step, noise_scale=0.0))
         nxt = model.energy_values(x)
         violations += int(np.count_nonzero(nxt > energy))
         energy = nxt

@@ -9,7 +9,7 @@ import pytest
 
 from coopforge import tensor as T
 from coopforge.langevin import LangevinConfig, LangevinDiverged, energy_grad, revise
-from coopforge.networks import PointScorer, ZeroScorer
+from coopforge.networks import ImageScorer, PointScorer, ZeroScorer
 
 
 @pytest.fixture
@@ -20,14 +20,14 @@ def reference_model():
 class TestBasics:
     def test_zero_steps_identity(self, reference_model):
         x0 = np.random.default_rng(0).normal(size=(4, 2)).astype(np.float32)
-        out = revise(x0, reference_model, LangevinConfig(steps=0, step_size=0.1))
+        out, _ = revise(x0, reference_model, LangevinConfig(steps=0, step_size=0.1))
         np.testing.assert_array_equal(out, x0)
         assert out is not x0
 
     def test_empty_batch_returns_empty_copy(self, reference_model):
         x0 = np.zeros((0, 2), dtype=np.float32)
         for noise in (1.0, 0.0):
-            out = revise(x0, reference_model, LangevinConfig(steps=3, step_size=0.1, noise_scale=noise))
+            out, _ = revise(x0, reference_model, LangevinConfig(steps=3, step_size=0.1, noise_scale=noise))
             assert out.shape == (0, 2) and out.dtype == np.float32
             assert out is not x0
 
@@ -41,7 +41,7 @@ class TestBasics:
         # f = 0, s = 1, eta = 0, delta = 0.1, x0 = 1: one step gives
         # 1 - (0.01/2)*1 = 0.995.
         x0 = np.array([[1.0]], dtype=np.float64)
-        out = revise(x0, reference_model, LangevinConfig(steps=1, step_size=0.1, noise_scale=0.0))
+        out, _ = revise(x0, reference_model, LangevinConfig(steps=1, step_size=0.1, noise_scale=0.0))
         expected = 1.0 - 0.5 * 0.1 * 0.1 * 1.0
         assert out[0, 0] == expected
         assert out[0, 0] == pytest.approx(0.995, abs=1e-12)
@@ -62,7 +62,7 @@ class TestBasics:
     def test_energy_grad_matches_closed_form(self, reference_model):
         # E = ||x||^2 / 2 so dE/dx = x.
         x = np.random.default_rng(1).normal(size=(5, 3)).astype(np.float32)
-        np.testing.assert_allclose(energy_grad(reference_model, x), x, rtol=1e-6)
+        np.testing.assert_allclose(energy_grad(reference_model, x)[1], x, rtol=1e-6)
 
     def test_energy_grad_leaves_params_free(self):
         net = PointScorer(dim=2, hidden=(4,), seed=0, name="s")
@@ -78,23 +78,50 @@ class TestBasics:
         monkeypatch.setattr(T, "backward", refuse)
         monkeypatch.setattr(T.Graph, "__enter__", refuse)
         x0 = np.random.default_rng(5).normal(size=(3, 2)).astype(np.float32)
-        out = revise(x0, scorer, LangevinConfig(steps=3, step_size=0.1, seed=1))
+        out, _ = revise(x0, scorer, LangevinConfig(steps=3, step_size=0.1, seed=1))
         assert np.isfinite(out).all() and not np.array_equal(out, x0)
+
+
+class TestStartEnergies:
+    """Each chain's starting energy is read off the first step's scores."""
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda: PointScorer(dim=2, hidden=(8, 8), seed=21, name="s"), (5, 2)),
+            (lambda: ImageScorer(in_shape=(1, 8, 8), widths=(2, 3), filters=(3, 3), strides=(2, 1),
+                                 dense=4, seed=22, name="s"), (3, 1, 8, 8)),
+            (lambda: ZeroScorer(), (4, 3)),
+        ],
+        ids=["point", "image", "zero"],
+    )
+    def test_equal_energy_values_bitwise(self, monkeypatch, make, shape, steps):
+        model = make()
+        rng = np.random.default_rng(21)
+        model.load(model.vector + (0.3 * rng.standard_normal(model.vector.shape)).astype(np.float32))
+        x0 = (2.0 * rng.standard_normal(shape)).astype(np.float32)
+        if steps:  # a step runs, so the energies come from its scores, not another forward
+            monkeypatch.setattr(model, "energy_values", lambda x: pytest.fail("energy_values called"))
+        _, energies = revise(x0, model, LangevinConfig(steps=steps, step_size=0.05, seed=2))
+        monkeypatch.undo()
+        expected = model.energy_values(x0)
+        assert energies.dtype == expected.dtype and energies.tobytes() == expected.tobytes()
 
 
 class TestDeterminism:
     def test_bitwise_repeatability(self, reference_model):
         x0 = np.random.default_rng(2).normal(size=(6, 2)).astype(np.float32)
         cfg = LangevinConfig(steps=25, step_size=0.05, seed=11)
-        a = revise(x0, reference_model, cfg)
-        b = revise(x0, reference_model, cfg)
+        a, _ = revise(x0, reference_model, cfg)
+        b, _ = revise(x0, reference_model, cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_output(self, reference_model):
         x0 = np.zeros((4, 2), dtype=np.float32)
         cfg = LangevinConfig(steps=10, step_size=0.05, seed=0)
-        a = revise(x0, reference_model, cfg)
-        b = revise(x0, reference_model, dataclasses.replace(cfg, seed=1))
+        a, _ = revise(x0, reference_model, cfg)
+        b, _ = revise(x0, reference_model, dataclasses.replace(cfg, seed=1))
         assert not np.array_equal(a, b)
 
     def test_blocked_noise_boundary(self, reference_model):
@@ -104,7 +131,7 @@ class TestDeterminism:
         x0 = np.zeros((2, 2), dtype=np.float32)
         cfg = LangevinConfig(steps=1030, step_size=0.01, seed=4)
         np.testing.assert_array_equal(
-            revise(x0, reference_model, cfg), revise(x0, reference_model, cfg)
+            revise(x0, reference_model, cfg)[0], revise(x0, reference_model, cfg)[0]
         )
 
 
@@ -114,9 +141,9 @@ class TestChainIndependence:
         # too, so batch grouping cannot change results at all.
         x0 = np.random.default_rng(3).normal(size=(5, 2)).astype(np.float32)
         cfg = LangevinConfig(steps=20, step_size=0.05, seed=7)
-        batched = revise(x0, reference_model, cfg)
+        batched, _ = revise(x0, reference_model, cfg)
         for i in range(5):
-            solo = revise(x0[i : i + 1], reference_model, cfg, chain_offset=i)
+            solo, _ = revise(x0[i : i + 1], reference_model, cfg, chain_offset=i)
             np.testing.assert_array_equal(solo[0], batched[i])
 
     def test_learned_energy_close(self):
@@ -126,16 +153,16 @@ class TestChainIndependence:
         model = PointScorer(dim=2, hidden=(16,), seed=5, name="s")
         x0 = np.random.default_rng(4).normal(size=(4, 2)).astype(np.float32)
         cfg = LangevinConfig(steps=15, step_size=0.02, seed=9)
-        batched = revise(x0, model, cfg)
+        batched, _ = revise(x0, model, cfg)
         for i in range(4):
-            solo = revise(x0[i : i + 1], model, cfg, chain_offset=i)
+            solo, _ = revise(x0[i : i + 1], model, cfg, chain_offset=i)
             np.testing.assert_allclose(solo[0], batched[i], rtol=2e-5, atol=2e-6)
 
     def test_chain_offset_shifts_streams(self, reference_model):
         x0 = np.zeros((6, 2), dtype=np.float32)
         cfg = LangevinConfig(steps=8, step_size=0.05, seed=2)
-        full = revise(x0, reference_model, cfg)
-        tail = revise(x0[2:], reference_model, cfg, chain_offset=2)
+        full, _ = revise(x0, reference_model, cfg)
+        tail, _ = revise(x0[2:], reference_model, cfg, chain_offset=2)
         np.testing.assert_array_equal(tail, full[2:])
 
 
@@ -151,7 +178,7 @@ class TestStationaryLaw:
         vstar = delta * delta / (1.0 - a * a)
         expected = a ** (2 * steps) * (v0 - vstar) + vstar
         x0 = (2.0 * np.random.default_rng(12).standard_normal((500, 2))).astype(np.float32)
-        out = revise(x0, reference_model, LangevinConfig(steps=steps, step_size=delta, seed=12))
+        out, _ = revise(x0, reference_model, LangevinConfig(steps=steps, step_size=delta, seed=12))
         var = out.var(axis=0, ddof=1)
         # 500 chains put ~6.3% sampling noise on each variance estimate
         np.testing.assert_allclose(var, expected, rtol=0.18)
@@ -161,7 +188,7 @@ class TestStationaryLaw:
         # Initialized at the reference law the chain must stay there; any
         # mis-scaled drift or noise term shifts the settled variance.
         x0 = np.random.default_rng(13).standard_normal((400, 2)).astype(np.float32)
-        out = revise(x0, reference_model, LangevinConfig(steps=2000, step_size=0.05, seed=13))
+        out, _ = revise(x0, reference_model, LangevinConfig(steps=2000, step_size=0.05, seed=13))
         var = out.var(axis=0, ddof=1)
         np.testing.assert_allclose(var, 1.0, rtol=0.2)
 
@@ -174,7 +201,7 @@ class TestDeterministicDescent:
         cfg = LangevinConfig(steps=1, step_size=0.4, noise_scale=0.0)
         energy = reference_model.energy_values(x)
         for _ in range(50):
-            x = revise(x, reference_model, cfg)
+            x, _ = revise(x, reference_model, cfg)
             nxt = reference_model.energy_values(x)
             assert (nxt <= energy).all()
             energy = nxt

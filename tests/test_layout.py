@@ -105,9 +105,9 @@ def test_names_the_tracer_wraps_exist():
 
 
 def test_only_scorers_carry_an_energy():
-    # Net is parameter bookkeeping; the energy and its input gradient belong to Scorer
+    # Net is parameter bookkeeping; the energy and the score's input gradient belong to Scorer
     net = importlib.import_module("coopforge.networks").Net
-    assert [name for name in dir(net) if name == "input_grad" or name.startswith("energy_")] == []
+    assert [name for name in dir(net) if name == "score_grad" or name.startswith("energy_")] == []
 
 
 def test_names_the_benchmark_imports_exist():

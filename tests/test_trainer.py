@@ -22,6 +22,7 @@ from coopforge.objectives import (
     image_objective,
     sequence_objective,
     spatiotemporal_loss,
+    teach_loss,
     temporal_loss,
 )
 from coopforge.networks import ImageTranslator, PointTranslator
@@ -156,6 +157,35 @@ def test_adam_does_not_mutate_inputs():
     np.testing.assert_array_equal(v, 0.0)
 
 
+def _textbook_adam(param, grad, m0, v0, rate, t):
+    """Adam as written, one temporary per operation: the oracle of adam_step."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = b1 * m0 + (1.0 - b1) * grad
+    v = b2 * v0 + (1.0 - b2) * (grad * grad)
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return param - rate * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+@pytest.mark.parametrize("t", [1, 2, 10_000])
+def test_adam_step_equals_textbook_expression_bitwise(t):
+    # float32, as the trainer steps; zero, tiny (squares underflow) and
+    # large gradients; the results are new arrays and the inputs stay as given,
+    # which the by-reference snapshot of an iteration relies on
+    gen = np.random.default_rng(t)
+    param, grad, m0 = (gen.standard_normal(1000).astype(np.float32) for _ in range(3))
+    grad[:10], grad[10:20], grad[20:30] = 0.0, 1e-30, 1e4
+    v0 = (1e-3 * gen.random(1000)).astype(np.float32)
+    inputs = (param, grad, m0, v0)
+    before = [a.tobytes() for a in inputs]
+    new, (m, v) = adam_step(param, grad, (m0, v0), rate=2e-4, t=t)
+    for name, got, want in zip(("param", "m", "v"), (new, m, v), _textbook_adam(*inputs, 2e-4, t)):
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes(), name
+    outputs = (new, m, v)
+    assert not any(np.shares_memory(out, a) for out in outputs for a in inputs + outputs if out is not a)
+    assert [a.tobytes() for a in inputs] == before
+
+
 def test_adam_validation():
     with pytest.raises(ShapeError):
         adam_step(np.zeros(3), np.zeros(4), (np.zeros(3), np.zeros(3)), rate=0.1, t=1)
@@ -263,13 +293,35 @@ def test_alpha_phase_noop_with_identity_revision():
     assert any(not np.array_equal(p.data, e_before[k]) for k, p in state.ebm_x.params.items())
 
 
-def test_iteration_advances_clock_and_stats():
-    cfg = ring_cfg()
-    dsx, dsy = generate(RING_X), generate(RING_Y)
-    state = init_state(cfg, dsx, dsy)
-    train_iteration(state, dsx.examples, dsy.examples, cfg)
-    assert state.t == 1
-    assert set(state.last) == {"energy_init", "energy_revised", "teach_loss"}
+@pytest.mark.parametrize(
+    "step, pair, make_cfg",
+    [(train_iteration, (RING_X, RING_Y), ring_cfg), (train_sequence_iteration, (DOT_X, DOT_Y), dot_cfg)],
+    ids=["points", "sequences"],
+)
+def test_iteration_advances_clock_and_stats(step, pair, make_cfg):
+    # the stats are read under the energy models that revised: a twin still
+    # at the iteration-start parameters replays the draws, and its mean
+    # energies of the translations and revisions, and the teaching loss, are
+    # the iteration's stats exactly
+    cfg = make_cfg()
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state, twin = init_state(cfg, dsx, dsy), init_state(cfg, dsx, dsy)
+    for s in (state, twin):
+        step(s, dsx.examples, dsy.examples, cfg)  # one clean step: parameters off their init
+
+    t = twin.t
+    x_data, y_data = replayed_batches(twin, dsx, dsy, cfg)
+    n = len(y_data)
+    x_hat, y_hat = run_translator(twin.g_yx, y_data), run_translator(twin.g_xy, x_data)
+    x_tilde, _ = revise(x_hat, twin.ebm_x, cfg.langevin, chain_offset=2 * t * n)
+    y_tilde, _ = revise(y_hat, twin.ebm_y, cfg.langevin, chain_offset=(2 * t + 1) * n)
+    e_init = 0.5 * (twin.ebm_x.energy_values(x_hat).mean() + twin.ebm_y.energy_values(y_hat).mean())
+    e_rev = 0.5 * (twin.ebm_x.energy_values(x_tilde).mean() + twin.ebm_y.energy_values(y_tilde).mean())
+    teach = teach_loss(x_hat, x_tilde).data + teach_loss(y_hat, y_tilde).data
+
+    step(state, dsx.examples, dsy.examples, cfg)
+    assert state.t == t + 1
+    assert state.last == {"energy_init": float(e_init), "energy_revised": float(e_rev), "teach_loss": float(teach)}
     assert all(np.isfinite(v) for v in state.last.values())
 
 
@@ -425,8 +477,8 @@ def test_energy_step_matches_replayed_estimator(step, pair, make_cfg):
     t = twin.t
     x_data, y_data = replayed_batches(twin, dsx, dsy, cfg)
     n = len(y_data)
-    x_tilde = revise(run_translator(twin.g_yx, y_data), twin.ebm_x, cfg.langevin, chain_offset=2 * t * n)
-    y_tilde = revise(run_translator(twin.g_xy, x_data), twin.ebm_y, cfg.langevin, chain_offset=(2 * t + 1) * n)
+    x_tilde, _ = revise(run_translator(twin.g_yx, y_data), twin.ebm_x, cfg.langevin, chain_offset=2 * t * n)
+    y_tilde, _ = revise(run_translator(twin.g_xy, x_data), twin.ebm_y, cfg.langevin, chain_offset=(2 * t + 1) * n)
     for name, data, synth in (("ebm_x", x_data, x_tilde), ("ebm_y", y_data, y_tilde)):
         model = getattr(twin, name)
         grads = ebm_grad(model, data, synth)
@@ -536,7 +588,7 @@ def test_each_term_of_the_root_reaches_only_its_networks(step, pair, make_cfg):
 
     for name, data, synth in (("ebm_x", x_data, x_tilde), ("ebm_y", y_data, y_tilde)):
         with Graph() as surrogate_graph:
-            surrogate = ebm_surrogate(getattr(state, name), data, synth)
+            surrogate, _ = ebm_surrogate(getattr(state, name), data, synth)
         grads = backward(surrogate_graph, surrogate, leaves)
         assert any(grads[net, k].any() for net, k in leaves if net == name), name
         assert all(not grads[net, k].any() for net, k in leaves if net != name), name
@@ -614,8 +666,8 @@ def test_sequence_iteration_matches_replayed_objective_update(lambda1, lambda2, 
     with graph:
         x_moved = twin.g_yx.forward(Tensor(y_frames))
         y_moved = twin.g_xy.forward(Tensor(x_frames))
-    x_tilde = revise(x_moved.data, twin.ebm_x, cfg.langevin, chain_offset=2 * t * per_dir)
-    y_tilde = revise(y_moved.data, twin.ebm_y, cfg.langevin, chain_offset=(2 * t + 1) * per_dir)
+    x_tilde, _ = revise(x_moved.data, twin.ebm_x, cfg.langevin, chain_offset=2 * t * per_dir)
+    y_tilde, _ = revise(y_moved.data, twin.ebm_y, cfg.langevin, chain_offset=(2 * t + 1) * per_dir)
     replayed = weights if sequence_cycle else LossWeights(lambda_cyc=0, lambda1=lambda1, lambda2=lambda2)
     with graph:
         loss = sequence_objective(
@@ -727,7 +779,7 @@ def test_translate_sequence_serves_point_batches():
     lcfg = LangevinConfig(steps=3, step_size=0.02, seed=4)
     np.testing.assert_array_equal(
         translate_sequence(points, state.g_xy, state.ebm_y, lcfg),
-        revise(run_translator(state.g_xy, points), state.ebm_y, lcfg),
+        revise(run_translator(state.g_xy, points), state.ebm_y, lcfg)[0],
     )
 
 
