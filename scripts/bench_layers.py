@@ -1,18 +1,22 @@
-"""Per-layer convolution, activation and Adam benchmark at the moving-dot recipe's call census.
+"""Per-layer convolution, dense, activation and Adam benchmark at the moving-dot recipe's call census.
 
     python3 scripts/bench_layers.py --out layers.json
     python3 scripts/bench_layers.py --src /path/to/other/checkout/src --out other.json
 
 The census is read from the program itself: ``conv2d``,
-``conv2d_transpose``, ``leaky_relu`` and ``trainer.adam_step`` are counted
-during a 3-iteration and a 1-iteration dot run (``perfbench/recipes.py``),
-and the difference over two iterations is what one training iteration
-calls. A convolution is keyed by its op, input and kernel shapes, stride,
-pads, bias, dtype, which inputs need a gradient and whether a tape records
-it; an activation by its op, input shape, dtype, whether its input needs a
-gradient and whether a tape records it; an Adam step by its parameter
-vector's shape and dtype (one key per network size, never taped). Each key
-counts its forward calls and the backward calls the tape made.
+``conv2d_transpose``, the dense ops ``matmul`` and ``linear``,
+``leaky_relu`` and ``trainer.adam_step`` are counted during a 3-iteration
+and a 1-iteration dot run (``perfbench/recipes.py``), and the difference
+over two iterations is what one training iteration calls; an op the timed
+package does not have is not counted. A convolution is keyed by its op,
+input and kernel shapes, stride, pads, bias, dtype, which inputs need a
+gradient and whether a tape records it; a dense op by its op, input and
+weight shapes, dtype, which inputs need a gradient (``need_b`` is false
+without a bias) and whether a tape records it; an activation by
+its op, input shape, dtype, whether its input needs a gradient and whether
+a tape records it; an Adam step by its parameter vector's shape and dtype
+(one key per network size, never taped). Each key counts its forward calls
+and the backward calls the tape made.
 
 Every key is then timed on seeded inputs: the forward (on a tape when the
 census saw one) and the recorded backward; an Adam step's forward is one
@@ -44,9 +48,11 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 CONVS = ("conv2d", "conv2d_transpose")
-OPS = CONVS + ("leaky_relu", "adam_step")
+DENSE = ("matmul", "linear")
+OPS = CONVS + DENSE + ("leaky_relu", "adam_step")
 NAMES = {
     **dict.fromkeys(CONVS, ("op", "x", "w", "stride", "pad", "out_pad", "bias", "dtype", "need_x", "need_w", "need_b", "taped")),
+    **dict.fromkeys(DENSE, ("op", "x", "w", "dtype", "need_x", "need_w", "need_b", "taped")),
     "leaky_relu": ("op", "x", "dtype", "need_x", "taped"),
     "adam_step": ("op", "x", "dtype", "taped"),
 }
@@ -74,18 +80,23 @@ def _conv_key(T, op, x, w, b=None, **kwargs) -> tuple:
     )
 
 
+def _dense_key(T, op, x, w, b=None) -> tuple:
+    needs = (x.requires_grad, w.requires_grad, b is not None and b.requires_grad)
+    return (op, tuple(x.shape), tuple(w.shape), x.dtype.name, *needs, bool(T._active_graphs) and any(needs))
+
+
 def _adam_key(T, op, param, *args) -> tuple:
     return (op, tuple(param.shape), param.dtype.name, False)
 
 
-_KEYS = {**dict.fromkeys(CONVS, _conv_key), "leaky_relu": _activation_key, "adam_step": _adam_key}
+_KEYS = {**dict.fromkeys(CONVS, _conv_key), **dict.fromkeys(DENSE, _dense_key), "leaky_relu": _activation_key, "adam_step": _adam_key}
 
 
 def census(T, trainer, recipes) -> dict:
     """Forward and backward calls per dot training iteration, by call key."""
     counts = {"fwd": Counter(), "bwd": Counter()}
     owners = {op: trainer if op == "adam_step" else T for op in OPS}
-    originals = {op: getattr(owners[op], op) for op in OPS}
+    originals = {op: getattr(owners[op], op) for op in OPS if hasattr(owners[op], op)}
 
     def counting(op):
         def wrapped(*args, **kwargs):
@@ -114,7 +125,7 @@ def census(T, trainer, recipes) -> dict:
             trainer.train(cfg, recipes.DOT_X, recipes.DOT_Y, Path(out))
         return {kind: Counter(c) for kind, c in counts.items()}
 
-    for op in OPS:
+    for op in originals:
         setattr(owners[op], op, counting(op))
     try:
         one, three = run(1), run(3)
@@ -143,6 +154,13 @@ def _inputs(T, trainer, np, key, seed):
     if key[0] == "leaky_relu":
         _, xs, dtype, need_x, _ = key
         return T.leaky_relu, (T.Tensor(rng.normal(size=xs).astype(dtype), requires_grad=need_x), 0.2), {}
+    if key[0] in DENSE:
+        op, xs, ws, dtype, need_x, need_w, need_b, _ = key
+        x = T.Tensor(rng.normal(size=xs).astype(dtype), requires_grad=need_x)
+        w = T.Tensor((0.1 * rng.normal(size=ws)).astype(dtype), requires_grad=need_w)
+        if op == "matmul":
+            return T.matmul, (x, w), {}
+        return T.linear, (x, w, T.Tensor(rng.normal(size=ws[1]).astype(dtype), requires_grad=need_b)), {}
     op, xs, ws, stride, pad, out_pad, has_b, dtype, need_x, need_w, need_b, _ = key
     x = T.Tensor(rng.normal(size=xs).astype(dtype), requires_grad=need_x)
     w = T.Tensor((0.1 * rng.normal(size=ws)).astype(dtype), requires_grad=need_w)

@@ -44,12 +44,13 @@ def summarize(runs: list, name: str, better: str) -> dict:
     values = {side: [p[side] for p in by_pair.values() if side in p] for side in SIDES}
     both = [p for p in by_pair.values() if len(p) == 2]
     sign = 1 if better == "lower" else -1
+    base = statistics.median(values["parent"])  # 0 for a census op the parent does not have
     return {
         **{side: _quartiles(values[side]) for side in SIDES},
         "change_wins": sum(sign * (p["change"] - p["parent"]) < 0 for p in both),
         "ties": sum(p["change"] == p["parent"] for p in both),
         "pairs": len(both),
-        "ratio_of_medians": round(statistics.median(values["change"]) / statistics.median(values["parent"]), 4),
+        "ratio_of_medians": round(statistics.median(values["change"]) / base, 4) if base else None,
     }
 
 

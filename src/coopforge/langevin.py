@@ -94,6 +94,7 @@ def revise(x0: np.ndarray, model: Scorer, cfg: LangevinConfig, chain_offset: int
             noise = np.stack(
                 [g.standard_normal((block,) + sample_shape, dtype=x.dtype) for g in gens]
             )
+            noise *= noise_coef  # in place: a scaled copy would double the block's peak memory
         else:
             noise = None  # eta = 0: deterministic descent, no draws needed
         for j in range(block):
@@ -103,7 +104,7 @@ def revise(x0: np.ndarray, model: Scorer, cfg: LangevinConfig, chain_offset: int
             if noise is None:
                 x += -half_sq * grad
             else:
-                x += -half_sq * grad + noise_coef * noise[:, j]
+                x += -half_sq * grad + noise[:, j]
             _check_state(x, done + j + 1)
         done += block
     return x, energies

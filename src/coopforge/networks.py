@@ -127,9 +127,9 @@ class Scorer(Net):
         return self.energy_each(x).sum()
 
     def energy_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f(x) and dE/dx = -df/dx + x for a batch, parameters frozen, from one pass."""
+        """f(x) and dE/dx = x - df/dx for a batch, parameters frozen, from one pass."""
         scores, g = self.score_grad(x)
-        return scores, -g + x
+        return scores, x - g
 
     def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Per-sample energies in eval mode (no tape, plain arrays in/out)."""
@@ -156,13 +156,20 @@ class PointScorer(Scorer):
     def forward(self, x: Tensor) -> Tensor:
         h = x
         for i in range(self.depth):
-            h = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
+            h = T.linear(h, self.params[f"w{i}"], self.params[f"b{i}"])
             if i < self.depth - 1:
                 h = T.leaky_relu(h, 0.2)
         return h.reshape(h.shape[0])
 
     def score_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form backprop of a ones column, in the tape's op order and kernels."""
+        """Closed-form backprop of a ones column, in the tape's op order and kernels.
+
+        That column's product with the output layer's weights, ones @ w.T, is
+        w.T in every row, save that the BLAS sum turns -0.0 into +0.0. So the
+        backward starts from w.T's one row, broadcast by the first mask
+        product; the next BLAS product drops a zero's sign as well. At depth 1
+        that row is the gradient: adding it to zeros gives the n rows and the +0.0.
+        """
         pre = []
         h = x
         for i in range(self.depth):
@@ -170,11 +177,12 @@ class PointScorer(Scorer):
             if i < self.depth - 1:
                 pre.append(h)
                 h = np.maximum(h, h.dtype.type(0.2) * h)
-        g = np.ones_like(h)
-        for i in reversed(range(self.depth)):
-            if i < self.depth - 1:
-                g = g * np.maximum(pre[i] >= 0, g.dtype.type(0.2))
-            g = g @ self.params[f"w{i}"].data.T
+        last = self.depth - 1
+        g = self.params[f"w{last}"].data.T
+        if not last:
+            return h.reshape(h.shape[0]), np.zeros_like(x) + g
+        for i in reversed(range(last)):
+            g = (g * np.maximum(pre[i] >= 0, g.dtype.type(0.2))) @ self.params[f"w{i}"].data.T
         return h.reshape(h.shape[0]), g
 
 
@@ -232,8 +240,8 @@ class ImageScorer(Scorer):
             )
             h = T.leaky_relu(h, 0.2)
         h = h.reshape(h.shape[0], self.flat)
-        h = T.leaky_relu(h @ self.params["fc0.w"] + self.params["fc0.b"], 0.2)
-        out = h @ self.params["fc1.w"] + self.params["fc1.b"]
+        h = T.leaky_relu(T.linear(h, self.params["fc0.w"], self.params["fc0.b"]), 0.2)
+        out = T.linear(h, self.params["fc1.w"], self.params["fc1.b"])
         return out.reshape(out.shape[0])
 
 
@@ -280,8 +288,8 @@ class PointTranslator(Net):
     def forward(self, x: Tensor) -> Tensor:
         h = x
         for i in range(self.blocks):
-            inner = T.leaky_relu(h @ self.params[f"block{i}.w0"] + self.params[f"block{i}.b0"], 0.2)
-            h = h + (inner @ self.params[f"block{i}.w1"] + self.params[f"block{i}.b1"])
+            inner = T.leaky_relu(T.linear(h, self.params[f"block{i}.w0"], self.params[f"block{i}.b0"]), 0.2)
+            h = h + T.linear(inner, self.params[f"block{i}.w1"], self.params[f"block{i}.b1"])
         return h
 
 

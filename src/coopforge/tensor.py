@@ -30,6 +30,7 @@ __all__ = [
     "channel_affine",
     "leaky_relu",
     "matmul",
+    "linear",
     "grad_check",
     "numeric_grad",
     "GradCheckReport",
@@ -68,6 +69,18 @@ class Tensor:
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
 
         self.requires_grad = bool(requires_grad)
+
+    @classmethod
+    def _result(cls, arr) -> "Tensor":
+        """Wrap an op's result that is already a C-contiguous float array, unchecked.
+
+        numpy returns a full reduction as a scalar, not a 0-d array; that one is
+        turned back into an array, as ``__init__`` would.
+        """
+        out = cls.__new__(cls)
+        out.data = arr if type(arr) is np.ndarray else np.asarray(arr)
+        out.requires_grad = False
+        return out
 
     @property
     def shape(self):
@@ -152,6 +165,12 @@ def _coerce(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as tensors; a plain value takes the other's dtype."""
+    a = _coerce(a, getattr(b, "dtype", np.float32))
+    return a, _coerce(b, a.dtype)
+
+
 # ---------------------------------------------------------------------------
 # Tape
 # ---------------------------------------------------------------------------
@@ -195,9 +214,12 @@ class Graph:
 
 
 def _record(op: str, inputs: tuple, out: Tensor, bwd) -> Tensor:
-    if _active_graphs and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _active_graphs[-1].nodes.append(_Node(op, inputs, out, bwd))
+    if _active_graphs:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _active_graphs[-1].nodes.append(_Node(op, inputs, out, bwd))
+                break
     return out
 
 
@@ -234,6 +256,8 @@ def backward(graph: Graph, root: Tensor, wrt: dict) -> dict[object, np.ndarray]:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum g down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -248,10 +272,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", np.float32))
-    b = _coerce(b, a.dtype)
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        a, b = _coerce_pair(a, b)
     try:
-        out = Tensor(a.data + b.data)
+        out = Tensor._result(a.data + b.data)
     except ValueError:
         raise _shape_err("add", a.shape, b.shape) from None
 
@@ -262,10 +286,10 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", np.float32))
-    b = _coerce(b, a.dtype)
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        a, b = _coerce_pair(a, b)
     try:
-        out = Tensor(a.data - b.data)
+        out = Tensor._result(a.data - b.data)
     except ValueError:
         raise _shape_err("sub", a.shape, b.shape) from None
 
@@ -276,10 +300,10 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", np.float32))
-    b = _coerce(b, a.dtype)
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        a, b = _coerce_pair(a, b)
     try:
-        out = Tensor(a.data * b.data)
+        out = Tensor._result(a.data * b.data)
     except ValueError:
         raise _shape_err("mul", a.shape, b.shape) from None
     ad, bd = a.data, b.data
@@ -291,14 +315,14 @@ def mul(a, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
+    out = Tensor._result(-a.data)
     return _record("neg", (a,), out, lambda g: (-g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise _shape_err("matmul", a.shape, b.shape)
-    out = Tensor(a.data @ b.data)
+    out = Tensor._result(a.data @ b.data)
     ad, bd = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
 
@@ -306,6 +330,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ bd.T if need_a else None), (ad.T @ g if need_b else None)
 
     return _record("matmul", (a, b), out, bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A dense layer, x @ w + b, as one tape node.
+
+    x: (n, fi); w: (fi, fo); b: (fo,). Forward and gradients equal ``matmul``
+    followed by ``add`` bit for bit: that add hands its output gradient g to
+    the product unchanged and sums it over rows for the bias.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise _shape_err("linear", x.shape, w.shape, b.shape)
+    xd, wd = x.data, w.data
+    out = Tensor._result(xd @ wd + b.data)
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+
+    def bwd(g):
+        return (
+            g @ wd.T if need_x else None,
+            xd.T @ g if need_w else None,
+            g.sum(axis=0) if need_b else None,
+        )
+
+    return _record("linear", (x, w, b), out, bwd)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -319,7 +366,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     s = ad.dtype.type(slope)
     if not 0 < s <= 1:
         raise ValueError(f"leaky_relu: slope must lie in (0, 1], got {slope}")
-    out = Tensor(np.maximum(ad, s * ad))
+    out = Tensor._result(np.maximum(ad, s * ad))
 
     def bwd(g):
         return (g * np.maximum(ad >= 0, g.dtype.type(slope)),)
@@ -328,19 +375,19 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 
 
 def absval(a: Tensor) -> Tensor:
-    out = Tensor(np.abs(a.data))
+    out = Tensor._result(np.abs(a.data))
     sign = np.sign(a.data)
     return _record("abs", (a,), out, lambda g: (g * sign,))
 
 
 def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
+    out = Tensor._result(a.data * a.data)
     ad = a.data
     return _record("square", (a,), out, lambda g: (2.0 * g * ad,))
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor._result(a.data.sum(axis=axis, keepdims=keepdims))
     shape, nd = a.shape, a.ndim
 
     def bwd(g):
@@ -361,7 +408,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     try:
-        out = Tensor(a.data.reshape(shape))
+        out = Tensor._result(a.data.reshape(shape))
     except ValueError:
         raise _shape_err("reshape", a.shape, tuple(shape)) from None
     orig = a.shape
@@ -411,7 +458,7 @@ def channel_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if x.ndim < 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
         raise _shape_err("channel_affine", x.shape, gain.shape, bias.shape)
     cshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    out = Tensor(x.data * gain.data.reshape(cshape) + bias.data.reshape(cshape))
+    out = Tensor._result(x.data * gain.data.reshape(cshape) + bias.data.reshape(cshape))
     xd = x.data
     reduce_axes = (0,) + tuple(range(2, x.ndim))
 
@@ -581,6 +628,7 @@ OPS = {
     "mul": mul,
     "neg": neg,
     "matmul": matmul,
+    "linear": linear,
     "leaky_relu": leaky_relu,
     "abs": absval,
     "square": square,

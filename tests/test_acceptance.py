@@ -97,6 +97,7 @@ def _operator_cases(rng_):
     wmm = w((3, 2))
     wca, wcv, wct = w((2, 3, 5)), w((3, 3, 3)), w((2, 6, 6))
     nw, wnw = _leaf(rng_, (2, 3, 4)), w((2, 2, 4))
+    li_x, li_w, li_b = _leaf(rng_, (3, 4)), _leaf(rng_, (4, 2)), _leaf(rng_, (2,))
 
     return {
         "add": ({"a": a, "b": b}, lambda: _weighted_sum(a + b, w32)),
@@ -113,6 +114,7 @@ def _operator_cases(rng_):
         "reshape": ({"c": c}, lambda: _weighted_sum(c.reshape(3, 4), w34)),
         "narrow": ({"n": nw}, lambda: _weighted_sum(T.narrow(nw, 1, 1, 2), wnw)),
         "matmul": ({"m1": m1, "m2": m2}, lambda: _weighted_sum(T.matmul(m1, m2), wmm)),
+        "linear": ({"x": li_x, "w": li_w, "b": li_b}, lambda: _weighted_sum(T.linear(li_x, li_w, li_b), wmm)),
         "channel_affine": (
             {"x": ca_x, "g": ca_g, "b": ca_b},
             lambda: _weighted_sum(T.channel_affine(ca_x, ca_g, ca_b), wca),

@@ -144,13 +144,14 @@ class TestInputGradients:
     """Closed-form input gradients equal the tape's, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 7])
-    @pytest.mark.parametrize("hidden", [(5, 4), (128, 128)])
+    @pytest.mark.parametrize("n", [1, 5, 7])
+    @pytest.mark.parametrize("hidden", [(), (5, 4), (128, 128)])
     def test_point_scorer_matches_tape(self, hidden, n, dtype):
         net = PointScorer(dim=2, hidden=hidden, seed=31, name="s", dtype=dtype)
         rng = np.random.default_rng(10)
         for p in net.params.values():  # nonzero biases, both leaky-ReLU regions
             p.data += (0.3 * rng.standard_normal(p.shape)).astype(dtype)
+        net.params[f"w{net.depth - 1}"].data[0, 0] = -0.0  # the tape's BLAS sums make it +0.0
         x = (2.0 * rng.standard_normal((n, 2))).astype(dtype)
         tape = _tape_input_grad(lambda t: net.forward(t).sum(), x)
         scores, grad = net.score_grad(x)

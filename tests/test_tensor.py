@@ -165,6 +165,31 @@ class TestMatmulGrads:
             T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
+class TestLinear:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_equals_matmul_then_add_bitwise(self, n):
+        # float32, with signed zeros in every operand and in the output gradient
+        rng = np.random.default_rng(10)
+        x, w, b, c = (rng.normal(size=s).astype(np.float32) for s in ((n, 4), (4, 3), (3,), (n, 3)))
+        x[0, 1] = w[2, 0] = b[1] = c[0, 2] = -0.0
+        params = {"x": leaf(x, np.float32), "w": leaf(w, np.float32), "b": leaf(b, np.float32)}
+        results = []
+        for dense in (lambda: T.linear(params["x"], params["w"], params["b"]), lambda: params["x"] @ params["w"] + params["b"]):
+            with Graph() as g:
+                out = dense()
+                loss = (out * c).sum()
+            results.append([out.data] + list(backward(g, loss, params).values()))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32 and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_shape_error(self):
+        x, w = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2)))
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(x, w, Tensor(np.ones(3)))
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(x, Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
+
+
 class TestChannelAffine:
     def test_identity_at_unit_params(self):
         x = Tensor(np.random.default_rng(10).normal(size=(2, 3, 4, 4)))
@@ -391,6 +416,7 @@ class TestUnreadGradients:
 
     CASES = {
         "matmul": (lambda a, b, c: T.matmul(a, b), ((3, 4), (4, 2), None)),
+        "linear": (lambda x, w, b: T.linear(x, w, b), ((3, 4), (4, 2), (2,))),
         "conv2d": (
             lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1),
             ((2, 2, 5, 5), (3, 2, 3, 3), (3,)),
@@ -575,6 +601,7 @@ class TestApplyRegistry:
             "mul": lambda: T.OPS["mul"](a, b).sum(),
             "neg": lambda: T.OPS["neg"](a).sum(),
             "matmul": lambda: T.OPS["matmul"](a, b).sum(),
+            "linear": lambda: T.OPS["linear"](a, b, bias).square().sum(),
             "leaky_relu": lambda: T.OPS["leaky_relu"](a).sum(),
             "abs": lambda: T.OPS["abs"](a).sum(),
             "square": lambda: T.OPS["square"](a).sum(),
@@ -595,6 +622,41 @@ class TestApplyRegistry:
                 out = build()
             got = sum(float(np.abs(grad).sum()) for grad in backward(g, out, params).values())
             assert np.isfinite(got), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_result_is_a_contiguous_float_array(self, dtype):
+        # ops wrap their results unchecked; this is the invariant that relies on
+        rng = np.random.default_rng(18)
+
+        def t(*shape):
+            return leaf(rng.normal(size=shape) + 3.0, dtype)
+
+        a, b, row, x4, w4 = t(2, 3), t(2, 3), t(3), t(1, 2, 4, 4), t(2, 2, 3, 3)
+        cases = {
+            "add": [T.add(a, b), T.add(a, row), T.add(a, 1.0), T.add(2.0, a)],
+            "sub": [T.sub(a, row), 1.0 - a, T.sub(a.sum(), b.sum())],
+            "mul": [T.mul(a, b), T.mul(a, 0.5), T.mul(a.sum(), b.sum())],
+            "neg": [T.neg(a), T.neg(a.sum())],
+            "matmul": [T.matmul(a, t(3, 2))],
+            "linear": [T.linear(a, t(3, 2), t(2))],
+            "leaky_relu": [T.leaky_relu(a), T.leaky_relu(a.sum())],
+            "abs": [T.absval(a), T.absval(a.sum())],
+            "square": [T.square(a), T.square(a.sum())],
+            "sum": [a.sum(), a.sum(axis=0), a.sum(axis=1, keepdims=True)],
+            "mean": [a.mean(), a.mean(axis=1)],
+            "reshape": [a.reshape(3, 2), t(1).reshape(())],
+            "narrow": [T.narrow(a, 1, 1, 1)],
+            "sq_norm": [T.sq_norm(a), T.sq_norm(a, axis=1)],
+            "l1_norm": [T.l1_norm(a), T.l1_norm(a, axis=1)],
+            "channel_affine": [T.channel_affine(x4, t(2), t(2))],
+            "conv2d": [T.conv2d(x4, w4, t(2), stride=2, pad=1)],
+            "conv2d_transpose": [T.conv2d_transpose(x4, w4, t(2), stride=2, pad=1, out_pad=1)],
+        }
+        assert set(cases) == set(T.OPS)
+        for name, outs in cases.items():
+            for out in outs:
+                data = out.data
+                assert type(data) is np.ndarray and data.dtype == dtype and data.flags.c_contiguous, name
 
 
 # ---------------------------------------------------------------------------
