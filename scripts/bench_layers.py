@@ -7,23 +7,25 @@ The census is read from the program itself: ``conv2d``,
 ``conv2d_transpose``, the dense ops ``matmul`` and ``linear``,
 ``leaky_relu`` and ``trainer.adam_step`` are counted during a 3-iteration
 and a 1-iteration dot run (``perfbench/recipes.py``), and the difference
-over two iterations is what one training iteration calls; an op the timed
-package does not have is not counted. A convolution is keyed by its op,
-input and kernel shapes, stride, pads, bias, dtype, which inputs need a
-gradient and whether a tape records it; a dense op by its op, input and
-weight shapes, dtype, which inputs need a gradient (``need_b`` is false
-without a bias) and whether a tape records it; an activation by
-its op, input shape, dtype, whether its input needs a gradient and whether
-a tape records it; an Adam step by its parameter vector's shape and dtype
-(one key per network size, never taped). Each key counts its forward calls
-and the backward calls the tape made.
+over two iterations is what one training iteration calls. The 1-iteration
+run minus one iteration is what a run calls outside its iterations (the
+final eval on the whole held-out frame batch, and the grid), reported as
+per-run keys. An op the timed package does not have is not counted. A
+convolution is keyed by its op, input and kernel shapes, stride, pads,
+bias, dtype, which inputs need a gradient and whether a tape records it; a
+dense op by its op, input and weight shapes, dtype, which inputs need a
+gradient (``need_b`` is false without a bias) and whether a tape records
+it; an activation by its op, input shape, dtype, whether its input needs a
+gradient and whether a tape records it; an Adam step by its parameter
+vector's shape and dtype (one key per network size, never taped). Each key
+counts its forward calls and the backward calls the tape made.
 
 Every key is then timed on seeded inputs: the forward (on a tape when the
 census saw one) and the recorded backward; an Adam step's forward is one
 ``adam_step`` call at step 1,000. One repeat times every key
-once, so each repeat also gives per-iteration totals, the sums of call
-count times time: forward, backward, both, and both per op. The output
-holds, per key and for the totals, the median and quartiles over the
+once, so each repeat also gives per-iteration and per-run totals, the sums
+of call count times time: forward, backward, both, and both per op. The
+output holds, per key and for the totals, the median and quartiles over the
 repeats, plus the machine facts. BLAS is pinned to one thread before numpy
 loads.
 """
@@ -56,6 +58,7 @@ NAMES = {
     "leaky_relu": ("op", "x", "dtype", "need_x", "taped"),
     "adam_step": ("op", "x", "dtype", "taped"),
 }
+SCOPES = {"iter": "dot iteration", "run": "dot run outside its iterations"}  # what each census counts calls per
 REPEATS = 41  # timed passes over the whole census
 INNER = 5  # calls per key per pass
 
@@ -92,8 +95,19 @@ def _adam_key(T, op, param, *args) -> tuple:
 _KEYS = {**dict.fromkeys(CONVS, _conv_key), **dict.fromkeys(DENSE, _dense_key), "leaky_relu": _activation_key, "adam_step": _adam_key}
 
 
-def census(T, trainer, recipes) -> dict:
-    """Forward and backward calls per dot training iteration, by call key."""
+def _difference(a: dict, b: dict, scale: float = 1.0) -> dict:
+    """(fwd, bwd) calls of a minus those of b, times ``scale``, by key; keys at zero dropped."""
+    out = {}
+    for key in sorted(set(a) | set(b)):
+        fwd, bwd = ((a.get(key, (0, 0))[i] - b.get(key, (0, 0))[i]) * scale for i in (0, 1))
+        if fwd or bwd:
+            out[key] = (fwd, bwd)
+    return out
+
+
+def census(T, trainer, recipes) -> tuple[dict, dict]:
+    """Forward and backward calls by call key: per dot training iteration,
+    and per run outside its iterations."""
     counts = {"fwd": Counter(), "bwd": Counter()}
     owners = {op: trainer if op == "adam_step" else T for op in OPS}
     originals = {op: getattr(owners[op], op) for op in OPS if hasattr(owners[op], op)}
@@ -123,7 +137,7 @@ def census(T, trainer, recipes) -> dict:
         cfg = recipes.seeded(recipes.DOT_CONFIG, 0, iterations)
         with tempfile.TemporaryDirectory() as out:
             trainer.train(cfg, recipes.DOT_X, recipes.DOT_Y, Path(out))
-        return {kind: Counter(c) for kind, c in counts.items()}
+        return {key: (counts["fwd"][key], counts["bwd"][key]) for key in set(counts["fwd"]) | set(counts["bwd"])}
 
     for op in originals:
         setattr(owners[op], op, counting(op))
@@ -132,14 +146,8 @@ def census(T, trainer, recipes) -> dict:
     finally:
         for op, fn in originals.items():
             setattr(owners[op], op, fn)
-    keys = sorted(set(three["fwd"]) | set(one["fwd"]))
-    per_iter = {}
-    for key in keys:
-        fwd = (three["fwd"][key] - one["fwd"][key]) / 2
-        bwd = (three["bwd"][key] - one["bwd"][key]) / 2
-        if fwd or bwd:
-            per_iter[key] = (fwd, bwd)
-    return per_iter
+    per_iter = _difference(three, one, 0.5)
+    return per_iter, _difference(one, per_iter)
 
 
 def _inputs(T, trainer, np, key, seed):
@@ -227,48 +235,59 @@ def main(argv=None) -> int:
     from coopforge import tensor as T
     from coopforge import trainer
 
-    calls = census(T, trainer, recipes)
-    for key in calls:  # warm-up: first calls allocate and fault in memory
+    censuses = dict(zip(SCOPES, census(T, trainer, recipes)))
+    keys = sorted(set().union(*censuses.values()))
+    for key in keys:  # warm-up: first calls allocate and fault in memory
         time_key(T, trainer, np, key, 1)
-    samples = {key: ([], []) for key in calls}
-    totals = {kind: [] for kind in ("fwd", "bwd", "all") + OPS}
+    samples = {key: ([], []) for key in keys}
+    totals = {scope: {kind: [] for kind in ("fwd", "bwd", "all") + OPS} for scope in SCOPES}
     for _ in range(REPEATS):
-        run = dict.fromkeys(totals, 0.0)
-        for key, (n_fwd, n_bwd) in calls.items():
-            fwd, bwd = time_key(T, trainer, np, key, INNER)
+        times = {key: time_key(T, trainer, np, key, INNER) for key in keys}
+        for key, (fwd, bwd) in times.items():
             samples[key][0].append(fwd)
             samples[key][1].append(bwd)
-            run["fwd"] += n_fwd * fwd
-            run["bwd"] += n_bwd * bwd
-            run[key[0]] += n_fwd * fwd + n_bwd * bwd
-        run["all"] = run["fwd"] + run["bwd"]
-        for kind, value in run.items():
-            totals[kind].append(value)
+        for scope, calls in censuses.items():
+            run = dict.fromkeys(totals[scope], 0.0)
+            for key, (n_fwd, n_bwd) in calls.items():
+                fwd, bwd = times[key]
+                run["fwd"] += n_fwd * fwd
+                run["bwd"] += n_bwd * bwd
+                run[key[0]] += n_fwd * fwd + n_bwd * bwd
+            run["all"] = run["fwd"] + run["bwd"]
+            for kind, value in run.items():
+                totals[scope][kind].append(value)
 
-    layers = []
-    for key, (n_fwd, n_bwd) in calls.items():
-        fwd, bwd = samples[key]
-        layers.append(
-            {
-                **dict(zip(NAMES[key[0]], key)),
-                "fwd_calls_per_iter": n_fwd,
-                "bwd_calls_per_iter": n_bwd,
-                "fwd_ms": _quartiles(fwd),
-                "bwd_ms": _quartiles(bwd) if n_bwd else None,
-            }
-        )
+    def layers(scope):
+        out = []
+        for key, (n_fwd, n_bwd) in censuses[scope].items():
+            fwd, bwd = samples[key]
+            out.append(
+                {
+                    **dict(zip(NAMES[key[0]], key)),
+                    f"fwd_calls_per_{scope}": n_fwd,
+                    f"bwd_calls_per_{scope}": n_bwd,
+                    "fwd_ms": _quartiles(fwd),
+                    "bwd_ms": _quartiles(bwd) if n_bwd else None,
+                }
+            )
+        return out
+
     report = {
         "src": str(src),
         "repeats": REPEATS,
         "inner": INNER,
-        "ms_per_iter": {kind: _quartiles(v) for kind, v in totals.items()},
-        "layers": layers,
+        "ms_per_iter": {kind: _quartiles(v) for kind, v in totals["iter"].items()},
+        "layers": layers("iter"),
+        "ms_per_run": {kind: _quartiles(v) for kind, v in totals["run"].items()},
+        "per_run_layers": layers("run"),
         "machine": {**machine.facts(), "cpu": _cpu_model(), "platform": platform.platform()},
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    total = report["ms_per_iter"]["all"]
-    by_op = ", ".join(f"{op} {report['ms_per_iter'][op]['p50']:.2f}" for op in OPS)
-    print(f"{len(layers)} call keys; ms per dot iteration p50 {total['p50']:.2f} (p25 {total['p25']:.2f}, p75 {total['p75']:.2f}; {by_op})")
+    for scope, what in SCOPES.items():
+        ms = report[f"ms_per_{scope}"]
+        by_op = ", ".join(f"{op} {ms[op]['p50']:.2f}" for op in OPS)
+        total = ms["all"]
+        print(f"{len(censuses[scope])} call keys; ms per {what} p50 {total['p50']:.2f} (p25 {total['p25']:.2f}, p75 {total['p75']:.2f}; {by_op})")
     return 0
 
 

@@ -9,7 +9,9 @@ parent first on even pairs. The census runs ``scripts/bench_layers.py`` of
 this checkout against each side's ``src/``; a workload runs
 ``perfbench/run.py --trace 0`` in each checkout at ``run_seconds`` and the
 pair's seed. The output holds every run and, per metric, each side's median
-and quartiles, the pairs the change won and the ratio of medians.
+and quartiles, the pairs the change won and the ratio of medians. The
+census metrics are its per-iteration totals and, prefixed ``per_run.``, its
+totals per run outside the iterations.
 """
 
 import argparse
@@ -65,12 +67,13 @@ def census_pairs(checkouts: dict) -> dict:
                 report = json.loads(out.read_text())
                 reports[side].append(report)
                 totals = {kind: q["p50"] for kind, q in report["ms_per_iter"].items()}
+                totals.update({f"per_run.{kind}": q["p50"] for kind, q in report["ms_per_run"].items()})
                 runs.append({"pair": pair, "side": side, "first": order == 0, **totals})
     timing = ("fwd_ms", "bwd_ms")
     layers = {}
     for side in SIDES:
         for report in reports[side]:
-            for layer in report["layers"]:
+            for layer in report["layers"] + report["per_run_layers"]:
                 key = tuple((k, str(v)) for k, v in layer.items() if k not in timing)
                 entry = layers.setdefault(key, {k: v for k, v in layer.items() if k not in timing})
                 for t in timing:
@@ -81,9 +84,9 @@ def census_pairs(checkouts: dict) -> dict:
             if name.startswith(SIDES) and name.endswith("_ms"):
                 entry[name] = round(statistics.median(values), 4)
     return {
-        "unit": "ms per dot training iteration, call-count weighted; a run's value is the median over its repeats",
+        "unit": "ms per dot training iteration (per_run.*: per dot run outside its iterations), call-count weighted; a run's value is the median over its repeats",
         "runs": runs,
-        "summary": {kind: summarize(runs, kind, "lower") for kind in reports["change"][0]["ms_per_iter"]},
+        "summary": {kind: summarize(runs, kind, "lower") for kind in runs[0] if kind not in ("pair", "side", "first")},
         "layers": list(layers.values()),
         "machine": reports["change"][-1]["machine"],
     }

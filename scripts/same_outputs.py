@@ -17,8 +17,12 @@ moment, every digest taken over the bytes in ``params`` order.
 ``coopforge eval`` then runs on each final checkpoint, ``coopforge
 translate --direction x2y`` with the checkpoint's own sampler on the first
 held-out X example, written with ``save_ctns``, and ``coopforge sample
---domain y --count 8`` with the default sampler. Every file a side wrote
-is hashed, ``metrics.csv`` with its ``seconds`` column dropped.
+--domain y --count 8`` with the default sampler. On the dot run,
+``translate`` also runs on the whole held-out X frame stack (its 120
+frames in one ``.ctns``), so the gate covers translator and scorer
+convolutions whose forwards build their columns in several blocks. Every
+file a side wrote is hashed, ``metrics.csv`` with its ``seconds`` column
+dropped.
 
 The script prints each file that differs and exits 1 if any do. A file
 found on one side only whose hash equals that of a file found on the other
@@ -62,8 +66,8 @@ def state_digest(state) -> dict:
 
 def run_side(out: str) -> None:
     """Train every run under ``out`` and record its final state, then eval
-    its final checkpoint, translate one held-out example with it and sample
-    from its Y model.
+    its final checkpoint, translate one held-out example with it (on the
+    dot run also the whole held-out frame stack) and sample from its Y model.
 
     Called in a side's subprocess after ``import coopforge``, so the BLAS
     thread cap is in place before numpy loads.
@@ -90,16 +94,20 @@ def run_side(out: str) -> None:
         cfg, run_dir = recipes.seeded(cfg, SEED, iterations), Path(out) / name
         state, _ = train(cfg, desc_x, desc_y, run_dir)
         (run_dir / "state.json").write_text(json.dumps(state_digest(state), indent=1, sort_keys=True))
-        ckpt, held_out = str(run_dir / f"ckpt_{state.t}"), run_dir / "held_out.ctns"
-        save_ctns(generate(eval_descriptor(desc_x, cfg)).examples[0], held_out)
-        commands = {
-            "eval": ["--checkpoint", ckpt],
-            "translate": ["--checkpoint", ckpt, "--input", str(held_out), "--direction", "x2y", "--out", str(run_dir / "translated")],
-            "sample": ["--checkpoint", ckpt, "--domain", "y", "--count", "8", "--out", str(run_dir / "sampled")],
-        }
-        for command, args in commands.items():
-            if main([command, *args]) != 0:
-                raise RuntimeError(f"coopforge {command} failed on {name}")
+        ckpt, held_out = str(run_dir / f"ckpt_{state.t}"), generate(eval_descriptor(desc_x, cfg))
+        # (input array, input file, output directory) of each translate request
+        requests = [(held_out.examples[0], "held_out.ctns", "translated")]
+        if name == "dot":
+            frames = held_out.examples.reshape((-1,) + held_out.sample_shape)
+            requests.append((frames, "held_out_frames.ctns", "translated_frames"))
+        commands = [["eval", "--checkpoint", ckpt]]
+        for example, in_name, out_name in requests:
+            save_ctns(example, run_dir / in_name)
+            commands.append(["translate", "--checkpoint", ckpt, "--input", str(run_dir / in_name), "--direction", "x2y", "--out", str(run_dir / out_name)])
+        commands.append(["sample", "--checkpoint", ckpt, "--domain", "y", "--count", "8", "--out", str(run_dir / "sampled")])
+        for args in commands:
+            if main(args) != 0:
+                raise RuntimeError(f"coopforge {args[0]} failed on {name}")
 
 
 def _metrics_rows(path: Path) -> list[list[str]]:

@@ -4,11 +4,14 @@ Float32 is the training precision; float64 is used for gradient checking.
 Ops record onto the innermost active ``Graph`` (a tape) whenever any input
 requires a gradient; with no active graph everything runs in eval mode.
 
-Convolutions take and return NCHW arrays but run a channels-last im2col:
-one copy per call into columns ordered (kh, kw, C). One adjoint kernel is
-both ``conv2d``'s input gradient and ``conv2d_transpose``'s forward: it
-gathers when the convolution it is the adjoint of narrows the channels
-(F < C), and scatters through col2im otherwise.
+Convolutions take and return NCHW arrays but run a channels-last im2col
+into columns ordered (kh, kw, C). ``conv2d`` builds its columns in blocks
+of as many whole images as fit a fixed budget of floats (at least one),
+unless a recorded weight gradient reads them; then it builds them once for
+the whole batch and keeps them on the tape. One adjoint kernel is both
+``conv2d``'s input gradient and ``conv2d_transpose``'s forward: it gathers
+when the convolution it is the adjoint of narrows the channels (F < C), and
+scatters through col2im otherwise.
 """
 
 from __future__ import annotations
@@ -540,6 +543,10 @@ def _conv_adjoint(g: np.ndarray, wmat: np.ndarray, h: int, wd: int, kh: int, kw:
     return img[:, pad : pad + h, pad : pad + wd]
 
 
+# im2col floats per block of a conv2d forward whose columns no backward reads
+_COL_BLOCK = 1 << 18
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), NCHW layout, square stride/pad.
 
@@ -553,15 +560,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise _shape_err("conv2d", x.shape, w.shape)
     if b is not None and b.shape != (f,):
         raise _shape_err("conv2d(bias)", b.shape, (f,))
-    cols, ho, wo = _im2col(_pad(_nhwc(x.data), pad), kh, kw, stride)
+    xp = _pad(_nhwc(x.data), pad)
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
     wmat = _nhwc(w.data).reshape(f, kh * kw * c)
-    out_mat = cols @ wmat.T
-    if b is not None:
-        out_mat = out_mat + b.data
-    out = Tensor(_nchw(out_mat.reshape(n, ho, wo, f)))
     # gradients nobody reads (data inputs, frozen weights) are never computed
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
+    # the columns are built once for the whole batch when a recorded backward
+    # reads them (dw = g^T cols), else in blocks of whole images; K is never
+    # split, so every output element is the same BLAS dot product either way
+    keep = need_w and bool(_active_graphs)
+    per = max(1, n if keep else _COL_BLOCK // (ho * wo * kh * kw * c))
+    out_mat = np.empty((n * ho * wo, f), dtype=np.result_type(x.data, wmat))
+    cols = None
+    for i in range(0, n, per):
+        cols = _im2col(xp[i : i + per], kh, kw, stride)[0]
+        np.matmul(cols, wmat.T, out=out_mat[i * ho * wo : (i + per) * ho * wo])
+    if not keep:
+        cols = None
+    if b is not None:
+        out_mat = out_mat + b.data
+    out = Tensor(_nchw(out_mat.reshape(n, ho, wo, f)))
 
     def bwd(g):
         gmat = _nhwc(g).reshape(n * ho * wo, f)

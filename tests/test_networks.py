@@ -1,6 +1,8 @@
 """Network contracts: identity initialization, seeded determinism, energy
 formula against a hand-rolled numpy oracle, and end-to-end gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -309,3 +311,19 @@ class TestFactoriesAndScale:
         for shape in ((1, 3, 1, 8, 8), (1, 2, 2, 8, 8), (1, 2, 8, 8)):
             with pytest.raises(T.ShapeError, match=r"past frames must be \(n, 2, 1, H, W\)"):
                 net.forward(Tensor(np.zeros(shape, dtype=np.float32)))
+
+
+class TestForwardMemory:
+    def test_eval_translator_forward_on_eval_batch(self):
+        # An eval-mode forward builds no column matrix for the whole batch: the
+        # translator's 16 -> 1 output projection alone would copy 30,720 x 784
+        # floats (96 MB) at 120 frames.
+        net = build_translator((1, 16, 16), 0, "g_xy")
+        x = Tensor(np.random.default_rng(7).uniform(size=(120, 1, 16, 16)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"

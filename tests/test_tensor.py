@@ -373,6 +373,7 @@ NETWORK_LAYERS = [
     ("scorer0", "conv2d", (2, 1, 16, 16), (32, 1, 5, 5), 2, 2, 0),
     ("pred2", "conv2d", (2, 16, 16, 16), (1, 16, 3, 3), 1, 1, 0),
 ]
+CONV_LAYERS = [layer for layer in NETWORK_LAYERS if layer[1] == "conv2d"]
 
 
 class TestNetworkLayerShapes:
@@ -409,6 +410,42 @@ class TestNetworkLayerShapes:
         assert out.dtype == np.float32
         assert all(grad.dtype == np.float32 for grad in node.bwd(np.ones(out.shape, np.float32)))
         assert all(grad.dtype == np.float32 for grad in backward(g, total, params).values())
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer", CONV_LAYERS, ids=[layer[0] for layer in CONV_LAYERS])
+    def test_blocked_forward_is_bitwise_one_block(self, layer, dtype, bias):
+        # untaped and frozen-weight forwards build their columns in blocks of
+        # whole images; a taped forward whose weight needs a gradient keeps
+        # them, in one block. Every output byte must agree.
+        _, _, x_shape, w_shape, stride, pad, _ = layer
+        c, h, wd = x_shape[1:]
+        f, _, kh, kw = w_shape
+        ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+        per = max(1, T._COL_BLOCK // (ho * wo * kh * kw * c))
+        n = max(45, 2 * per + 1)  # at least three blocks; the last is partial unless a block is one image
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(n, c, h, wd)).astype(dtype)
+        w = rng.normal(size=w_shape).astype(dtype)
+        b = Tensor(rng.normal(size=f).astype(dtype)) if bias else None
+
+        def forward(x_grad, w_grad, taped):
+            xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=w_grad)
+            if not taped:
+                return T.conv2d(xt, wt, b, stride=stride, pad=pad).data
+            with Graph() as g:
+                out = T.conv2d(xt, wt, b, stride=stride, pad=pad)
+            assert len(g) == 1
+            return out.data
+
+        one_block = forward(False, True, True)
+        for got in (forward(False, False, False), forward(True, False, True)):
+            assert got.dtype == one_block.dtype == dtype
+            assert got.tobytes() == one_block.tobytes()
+        if dtype == np.float64:
+            ends = [0, n - 1]  # the first block's first frame and the last block's last
+            want = conv2d_naive(x[ends], w, b.data if bias else None, stride, pad)
+            np.testing.assert_allclose(one_block[ends], want, rtol=1e-12, atol=1e-12)
 
 
 class TestUnreadGradients:
