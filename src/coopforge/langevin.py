@@ -71,7 +71,10 @@ def revise(x0: np.ndarray, model: Scorer, cfg: LangevinConfig, chain_offset: int
     (cfg.seed, chain_offset + i), so results are bitwise independent of how
     chains are grouped into batches, up to floating-point reassociation in
     batched network evaluation. With steps = 0 or an empty batch the
-    output equals x0.
+    output equals x0. The batch may be a ``ScorerPair``'s stacked rows
+    [x; y]: each half then walks on its own scorer's energy and keeps the
+    streams it would draw alone from its own offset, and the divergence
+    check covers every row of both after every step.
     """
     x0 = np.asarray(x0)
     if x0.dtype not in (np.float32, np.float64):

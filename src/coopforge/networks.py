@@ -1,6 +1,7 @@
 """Network definitions: per-domain scorers f, each its domain's energy model
 E(x) = -f(x) + ||x||^2 / 2 with the unit Gaussian reference, cross-domain
-translators, and the temporal predictor used for frame sequences.
+translators, and the temporal predictor used for frame sequences. A
+``ScorerPair`` scores both domains' batches as one stacked batch.
 
 All parameters are float32 leaves initialized from named counter-based
 streams, so two constructions with the same (seed, name) are identical. A
@@ -27,6 +28,7 @@ __all__ = [
     "PointScorer",
     "ImageScorer",
     "ZeroScorer",
+    "ScorerPair",
     "PointTranslator",
     "ImageTranslator",
     "TemporalPredictor",
@@ -162,28 +164,37 @@ class PointScorer(Scorer):
         return h.reshape(h.shape[0])
 
     def score_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form backprop of a ones column, in the tape's op order and kernels.
+        """The closed form of ``_mlp_score_grad``, bitwise the tape's."""
+        p, layers = self.params, range(self.depth)
+        return _mlp_score_grad(x, [p[f"w{i}"].data for i in layers], [p[f"b{i}"].data for i in layers])
 
-        That column's product with the output layer's weights, ones @ w.T, is
-        w.T in every row, save that the BLAS sum turns -0.0 into +0.0. So the
-        backward starts from w.T's one row, broadcast by the first mask
-        product; the next BLAS product drops a zero's sign as well. At depth 1
-        that row is the gradient: adding it to zeros gives the n rows and the +0.0.
-        """
-        pre = []
-        h = x
-        for i in range(self.depth):
-            h = h @ self.params[f"w{i}"].data + self.params[f"b{i}"].data
-            if i < self.depth - 1:
-                pre.append(h)
-                h = np.maximum(h, h.dtype.type(0.2) * h)
-        last = self.depth - 1
-        g = self.params[f"w{last}"].data.T
-        if not last:
-            return h.reshape(h.shape[0]), np.zeros_like(x) + g
-        for i in reversed(range(last)):
-            g = (g * np.maximum(pre[i] >= 0, g.dtype.type(0.2))) @ self.params[f"w{i}"].data.T
-        return h.reshape(h.shape[0]), g
+
+def _mlp_score_grad(x: np.ndarray, weights: list, biases: list) -> tuple[np.ndarray, np.ndarray]:
+    """``PointScorer.score_grad``: closed-form backprop of a ones column, in the tape's op order and kernels.
+
+    That column's product with the output layer's weights, ones @ w.T, is
+    w.T in every row, save that the BLAS sum turns -0.0 into +0.0. So the
+    backward starts from w.T's one row, broadcast by the first mask
+    product; the next BLAS product drops a zero's sign as well. At depth 1
+    that row is the gradient: adding it to zeros gives the n rows and the +0.0.
+
+    Leading axes broadcast: a (k, n, d) batch with weights (k, in, out) and
+    biases (k, 1, out) runs k scorers at once, slice j bitwise as scorer j alone.
+    """
+    pre = []
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if i < len(weights) - 1:
+            pre.append(h)
+            h = np.maximum(h, h.dtype.type(0.2) * h)
+    scores = h.reshape(h.shape[:-1])
+    g = weights[-1].swapaxes(-1, -2)
+    if not pre:
+        return scores, np.zeros_like(x) + g
+    for a, w in zip(reversed(pre), reversed(weights[:-1])):
+        g = (g * np.maximum(a >= 0, g.dtype.type(0.2))) @ w.swapaxes(-1, -2)
+    return scores, g
 
 
 class ImageScorer(Scorer):
@@ -261,6 +272,49 @@ class ZeroScorer(Scorer):
 
     def score_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(x.shape[0], dtype=x.dtype), np.zeros_like(x)
+
+
+class ScorerPair(Scorer):
+    """Two scorers as one on a stacked batch [x; y]: ``first`` scores the
+    first half of the rows and ``second`` the second, each bit for bit as
+    on its own.
+
+    It owns no parameters and reads the scorers' when it is built, so it is
+    stale once either one loads new ones. Two ``PointScorer``s of one layout
+    run as one closed form on weights stacked as (2, in, out); any other
+    pair scores each half on its own and concatenates the results.
+    """
+
+    def __init__(self, first: Scorer, second: Scorer):
+        super().__init__(f"{first.name}+{second.name}", seed=None, dtype=first.dtype)
+        self.halves = (first, second)
+        self._stacked = None
+        layouts = [[(k, p.data.shape, p.data.dtype) for k, p in s.params.items()] for s in self.halves]
+        if isinstance(first, PointScorer) and isinstance(second, PointScorer) and layouts[0] == layouts[1]:
+            a, b, layers = first.params, second.params, range(first.depth)
+            self._stacked = (
+                [np.stack([a[f"w{i}"].data, b[f"w{i}"].data]) for i in layers],
+                [np.stack([a[f"b{i}"].data, b[f"b{i}"].data])[:, None] for i in layers],
+            )
+
+    def _half(self, x: np.ndarray) -> int:
+        """The number of rows in each half of a stacked batch."""
+        if len(x) % 2:
+            raise T.ShapeError(f"{self.name}: a stacked batch needs an even number of rows, got {len(x)}")
+        return len(x) // 2
+
+    def score_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = self._half(x)
+        if self._stacked is None:
+            (fx, gx), (fy, gy) = self.halves[0].score_grad(x[:n]), self.halves[1].score_grad(x[n:])
+            return np.concatenate([fx, fy]), np.concatenate([gx, gy])
+        scores, grad = _mlp_score_grad(x.reshape((2, n) + x.shape[1:]), *self._stacked)
+        return scores.reshape(2 * n), grad.reshape(x.shape)
+
+    def energy_values(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        n = self._half(x)
+        return np.concatenate([self.halves[0].energy_values(x[:n]), self.halves[1].energy_values(x[n:])])
 
 
 # ---------------------------------------------------------------------------

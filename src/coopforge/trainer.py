@@ -1,8 +1,9 @@
 """Alternating cooperative training of the two translator/energy pairs.
 
 Both modes run one phase pipeline on one tape: translate the sampled
-batches, revise the translations by Langevin dynamics, then record the
-mode's objective, which reads the recorded translations instead of
+batches, revise both translations as one stacked Langevin chain batch
+under a ``ScorerPair`` of the two energy models, then record the mode's
+objective, which reads the recorded translations instead of
 translating again, minus both energy models' data-vs-synthesis surrogates.
 One backward pass of that root gives every network its descent direction
 at the iteration-start parameters: the energy models ascend their
@@ -44,7 +45,7 @@ from .domains import DomainDataset, DomainDescriptor, descriptor_line, generate,
 from .evaluation import evaluate, held_out_sets, write_grid
 from .langevin import LangevinConfig, LangevinDiverged, revise
 from .metrics import frechet_distance
-from .networks import Net, Scorer, TemporalPredictor, build_scorer, build_translator
+from .networks import Net, Scorer, ScorerPair, TemporalPredictor, build_scorer, build_translator
 from .objectives import LossWeights, clip_frames, ebm_surrogate, image_objective, sequence_objective, teach_loss
 from .rng import data_stream
 from .tensor import Graph, Tensor, backward, load_ctns, save_ctns
@@ -136,9 +137,11 @@ class TrainState:
 
 class TrainPhaseError(RuntimeError):
     """An iteration failed; state was rolled back. ``phase`` names the step:
-    ``langevin_x``/``langevin_y`` (revision), ``ebm_x``/``ebm_y`` (an energy
-    model's Adam step) or ``objective`` (a non-finite loss, or a translator's
-    or predictor's Adam step), all read from the iteration's one backward."""
+    ``langevin_x``/``langevin_y`` (the stacked revision diverged; ``langevin_x``
+    if the x half diverges on its own, else ``langevin_y``), ``ebm_x``/``ebm_y``
+    (an energy model's Adam step) or ``objective`` (a non-finite loss, or a
+    translator's or predictor's Adam step), the last three read from the
+    iteration's one backward."""
 
     def __init__(self, phase: str, detail: str):
         super().__init__(f"[{phase}] {detail}")
@@ -268,11 +271,27 @@ def _rollback(state: TrainState, snap) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _revise_or_abort(x0: np.ndarray, model: Scorer, cfg: TrainConfig, offset: int, phase: str) -> tuple[np.ndarray, np.ndarray]:
+def _revise_both(state: TrainState, cfg: TrainConfig, x_hat: np.ndarray, y_hat: np.ndarray):
+    """``revise`` of x_hat under ``ebm_x`` from chain 2tn and of y_hat under
+    ``ebm_y`` from chain (2t+1)n, as one chain batch [x_hat; y_hat] from chain
+    2tn; returns each half's revision and starting energies.
+
+    A divergence of the stacked chain re-runs the x half alone to name the
+    phase: ``langevin_x`` with that run's message if it diverges too, else
+    ``langevin_y`` with the stacked chain's. Both messages are the ones the
+    half alone gives: rows that never diverge cannot decide the stacked peak.
+    """
+    n = len(x_hat)
+    offset = 2 * state.t * n
     try:
-        return revise(x0, model, cfg.langevin, chain_offset=offset)
+        tilde, init = revise(np.concatenate([x_hat, y_hat]), ScorerPair(state.ebm_x, state.ebm_y), cfg.langevin, chain_offset=offset)
     except LangevinDiverged as err:
-        raise TrainPhaseError(phase, str(err)) from err
+        try:
+            revise(x_hat, state.ebm_x, cfg.langevin, chain_offset=offset)
+        except LangevinDiverged as x_err:
+            raise TrainPhaseError("langevin_x", str(x_err)) from x_err
+        raise TrainPhaseError("langevin_y", str(err)) from err
+    return tilde[:n], tilde[n:], init[:n], init[n:]
 
 
 def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data: np.ndarray, objective) -> TrainState:
@@ -280,7 +299,9 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
 
     ``x_data``/``y_data`` are equal-length batches of examples or frames.
     Their translations x_moved = G_yx(y_data) and y_moved = G_xy(x_data)
-    are recorded on the iteration's tape; reopened, it records
+    are recorded on the iteration's tape and revised by one ``revise`` of
+    the stacked batch (``_revise_both``), which also names a diverged half's
+    phase. Reopened, the tape records
     ``objective(x_moved, y_moved, x_tilde, y_tilde)`` minus both
     ``ebm_surrogate``s. The objective reads no scorer and a surrogate only
     its own, so the root's gradient is each energy model's negated ascent
@@ -301,9 +322,7 @@ def _run_phases(state: TrainState, cfg: TrainConfig, x_data: np.ndarray, y_data:
             y_moved = state.g_xy.forward(Tensor(x_data))
         x_hat, y_hat = x_moved.data, y_moved.data
 
-        n = len(y_data)
-        x_tilde, x_init = _revise_or_abort(x_hat, state.ebm_x, cfg, 2 * t * n, "langevin_x")
-        y_tilde, y_init = _revise_or_abort(y_hat, state.ebm_y, cfg, (2 * t + 1) * n, "langevin_y")
+        x_tilde, y_tilde, x_init, y_init = _revise_both(state, cfg, x_hat, y_hat)
 
         with graph:
             loss = objective(x_moved, y_moved, x_tilde, y_tilde)
@@ -400,14 +419,18 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
     state: every stream the loop touches is a pure function of them. The
     iteration is also the count of Adam steps each network has taken.
 
-    The files go into ckpt_{t}.tmp/ (a stale one is cleared first), the
-    manifest last, and the directory is then renamed to ckpt_{t}, replacing
-    an older checkpoint of the same iteration.
+    The files go into ckpt_{t}.tmp/, the manifest last, after every stale
+    ckpt_<s>.tmp/ in ``out_dir`` is cleared. An older checkpoint of the same
+    iteration is then moved aside to ckpt_{t}.old/, the new one renamed to
+    ckpt_{t}, and only then the old one deleted. If that rename fails, the
+    old one is moved back, so a complete ckpt_{t} outlives every failure but
+    a kill between the two renames, which leaves it at ckpt_{t}.old/.
     """
     root = Path(out_dir) / f"ckpt_{state.t}"
     tmp = root.with_name(root.name + ".tmp")
-    if tmp.exists():
-        shutil.rmtree(tmp)
+    aside = root.with_name(root.name + ".old")
+    for stale in Path(out_dir).glob("ckpt_*.tmp"):
+        shutil.rmtree(stale)
     (tmp / "nets").mkdir(parents=True)
     (tmp / "adam").mkdir()
     files = {}
@@ -429,8 +452,17 @@ def save_checkpoint(state: TrainState, cfg: TrainConfig, desc_x: DomainDescripto
     }
     (tmp / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     if root.exists():
-        shutil.rmtree(root)
-    tmp.rename(root)
+        if aside.exists():
+            shutil.rmtree(aside)
+        root.rename(aside)
+    try:
+        tmp.rename(root)
+    except OSError:
+        if aside.exists():
+            aside.rename(root)
+        raise
+    if aside.exists():
+        shutil.rmtree(aside)
     return root
 
 

@@ -13,6 +13,7 @@ from coopforge.networks import (
     PointScorer,
     PointTranslator,
     Scorer,
+    ScorerPair,
     TemporalPredictor,
     ZeroScorer,
     build_scorer,
@@ -181,6 +182,64 @@ class TestInputGradients:
         scorer = make(dtype)
         x = np.random.default_rng(12).normal(size=shape).astype(dtype)
         assert _bitwise_equal(scorer.energy_grad(x)[1], _tape_input_grad(scorer.energy_sum, x))
+
+
+class TestScorerPair:
+    """A pair scores its stacked batch [x; y] as its two scorers alone, byte for byte."""
+
+    @staticmethod
+    def _point(hidden, dtype, seed):
+        net = PointScorer(dim=2, hidden=hidden, seed=seed, name=f"s{seed}", dtype=dtype)
+        rng = np.random.default_rng(seed)
+        for p in net.params.values():  # nonzero biases, both leaky-ReLU regions
+            p.data += (0.3 * rng.standard_normal(p.shape)).astype(dtype)
+        last = net.params[f"w{net.depth - 1}"].data
+        last[0, 0] = -0.0  # turned +0.0 by the depth-1 sum and the backward's BLAS products
+        if net.depth > 1:
+            net.params["w0"].data[:, 1] = -0.0  # a unit whose pre-activations are signed zeros
+            net.params["b0"].data[1] = -0.0
+        return net
+
+    @staticmethod
+    def _assert_pair_is_each_alone(pair, x, y):
+        first, second = pair.halves
+        (fx, gx), (fy, gy) = first.score_grad(x), second.score_grad(y)
+        scores, grad = pair.score_grad(np.concatenate([x, y]))
+        assert _bitwise_equal(scores, np.concatenate([fx, fy]))
+        assert _bitwise_equal(grad, np.concatenate([gx, gy]))
+        energies = pair.energy_values(np.concatenate([x, y]))
+        assert _bitwise_equal(energies, np.concatenate([first.energy_values(x), second.energy_values(y)]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3, 200])
+    @pytest.mark.parametrize("hidden", [(), (128,), (128, 128)], ids=["depth1", "depth2", "depth3"])
+    def test_point_pair_is_one_stacked_closed_form(self, hidden, n, dtype):
+        pair = ScorerPair(self._point(hidden, dtype, 51), self._point(hidden, dtype, 52))
+        assert pair._stacked is not None and not pair.params
+        rng = np.random.default_rng(53)
+        x, y = ((2.0 * rng.standard_normal((n, 2))).astype(dtype) for _ in range(2))
+        self._assert_pair_is_each_alone(pair, x, y)
+
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda s: ImageScorer(in_shape=(1, 16, 16), seed=s, name=f"s{s}"), (3, 1, 16, 16)),
+            (lambda s: PointScorer(dim=2, hidden=(8, 8 + s % 2), seed=s, name=f"s{s}"), (3, 2)),
+            (lambda s: ZeroScorer() if s % 2 else PointScorer(dim=2, hidden=(8,), seed=s, name="s"), (3, 2)),
+        ],
+        ids=["image", "point-other-widths", "point-and-zero"],
+    )
+    def test_other_pairs_concatenate_each_half(self, make, shape):
+        pair = ScorerPair(make(54), make(55))
+        assert pair._stacked is None
+        rng = np.random.default_rng(56)
+        x, y = (rng.normal(size=shape).astype(np.float32) for _ in range(2))
+        self._assert_pair_is_each_alone(pair, x, y)
+
+    def test_odd_batch_is_refused(self):
+        pair = ScorerPair(PointScorer(seed=1, name="a"), PointScorer(seed=2, name="b"))
+        with pytest.raises(T.ShapeError, match="a\\+b: a stacked batch needs an even number of rows, got 3"):
+            pair.score_grad(np.zeros((3, 2), np.float32))
 
 
 def _select_leaky_relu(a, slope=0.2):

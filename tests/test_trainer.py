@@ -13,7 +13,7 @@ from conftest import dot_benchmark_config, ring_benchmark_config
 from coopforge import cli, objectives, rng, trainer
 from coopforge.domains import DomainDescriptor, generate
 from coopforge.evaluation import refinement_scores, run_translator, translate_sequence
-from coopforge.langevin import LangevinConfig, revise
+from coopforge.langevin import LangevinConfig, LangevinDiverged, revise
 from coopforge.objectives import (
     LossWeights,
     clip_frames,
@@ -411,6 +411,75 @@ def test_divergence_rolls_back_and_tags_phase():
     for k in before:
         np.testing.assert_array_equal(before[k], after[k], err_msg=k)
     assert state.t == 1
+
+
+def _steep_y(state) -> None:
+    state.ebm_y.load(state.ebm_y.vector * np.float32(1e4))  # a steep y energy: only the y chain blows up
+
+
+@pytest.mark.parametrize(
+    "langevin, steepen, phase",
+    [(LangevinConfig(steps=15, step_size=50.0, seed=0), lambda state: None, "langevin_x"), (None, _steep_y, "langevin_y")],
+    ids=["both-halves", "y-half"],
+)
+def test_diverged_half_gets_the_message_it_raises_alone(langevin, steepen, phase):
+    # both directions revise as one stacked chain; the phase and the message
+    # are those of the half that diverges when revised on its own, the x half
+    # first, and the state rolls back. With both halves diverging, the y row
+    # passes the limit first in the stacked chain, at step 2.
+    cfg = ring_cfg() if langevin is None else ring_cfg(langevin=langevin)
+    dsx, dsy = generate(RING_X), generate(RING_Y)
+    state = init_state(cfg, dsx, dsy)
+    train_iteration(state, dsx.examples, dsy.examples, ring_cfg())  # one clean step first
+    steepen(state)
+    before, moments = all_params(state), all_moments(state)
+
+    t = state.t
+    x_data, y_data = replayed_batches(state, dsx, dsy, cfg)
+    n = len(y_data)
+    x_half = (run_translator(state.g_yx, y_data), state.ebm_x)
+    y_half = (run_translator(state.g_xy, x_data), state.ebm_y)
+    if phase == "langevin_y":
+        revise(*x_half, cfg.langevin, chain_offset=2 * t * n)  # the x half converges on its own
+    with pytest.raises(LangevinDiverged) as alone:
+        if phase == "langevin_x":
+            revise(*x_half, cfg.langevin, chain_offset=2 * t * n)
+        else:
+            revise(*y_half, cfg.langevin, chain_offset=(2 * t + 1) * n)
+
+    with pytest.raises(TrainPhaseError) as err:
+        train_iteration(state, dsx.examples, dsy.examples, cfg)
+    assert err.value.phase == phase
+    assert str(err.value) == f"[{phase}] {alone.value}"
+    assert state.t == t
+    after = all_params(state)
+    for k in before:
+        assert after[k].tobytes() == before[k].tobytes(), k
+    for g, (m, v) in moments.items():
+        assert state.opt[g][0].tobytes() == m.tobytes() and state.opt[g][1].tobytes() == v.tobytes(), g
+
+
+@pytest.mark.parametrize(
+    "step, pair, make_cfg",
+    [(train_iteration, (RING_X, RING_Y), ring_cfg), (train_sequence_iteration, (DOT_X, DOT_Y), dot_cfg)],
+    ids=["points", "sequences"],
+)
+def test_zero_step_stats_replay_each_half(step, pair, make_cfg):
+    # with no Langevin step the stacked revision's energies are each half's
+    # own forward, concatenated: the stats equal a replay of each half
+    cfg = make_cfg(langevin=LangevinConfig(steps=0, step_size=0.02, seed=0))
+    dsx, dsy = generate(pair[0]), generate(pair[1])
+    state, twin = init_state(cfg, dsx, dsy), init_state(cfg, dsx, dsy)
+    for s in (state, twin):
+        step(s, dsx.examples, dsy.examples, cfg)
+
+    x_data, y_data = replayed_batches(twin, dsx, dsy, cfg)
+    x_hat, y_hat = run_translator(twin.g_yx, y_data), run_translator(twin.g_xy, x_data)
+    energy = 0.5 * (twin.ebm_x.energy_values(x_hat).mean() + twin.ebm_y.energy_values(y_hat).mean())
+    teach = teach_loss(x_hat, x_hat).data + teach_loss(y_hat, y_hat).data
+
+    step(state, dsx.examples, dsy.examples, cfg)
+    assert state.last == {"energy_init": float(energy), "energy_revised": float(energy), "teach_loss": float(teach)}
 
 
 @pytest.mark.parametrize(
@@ -849,6 +918,51 @@ def test_checkpoint_write_is_atomic(tmp_path):
     root = save_checkpoint(state, cfg, RING_X, RING_Y, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_0"]
     assert sorted(p.name for p in root.iterdir()) == ["adam", "manifest.json", "nets"]
+
+
+def test_checkpoint_clears_stale_tmp_of_other_iterations(tmp_path):
+    cfg = ring_cfg()
+    state = init_state(cfg, generate(RING_X), generate(RING_Y))
+    state.t = 3
+    save_checkpoint(state, cfg, RING_X, RING_Y, tmp_path)
+    (tmp_path / "ckpt_5.tmp" / "nets").mkdir(parents=True)
+    (tmp_path / "ckpt_5.tmp" / "nets" / "g_xy.ctns").write_bytes(b"x")
+    state.t = 0
+    save_checkpoint(state, cfg, RING_X, RING_Y, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_0", "ckpt_3"]
+
+
+def test_failed_checkpoint_rename_keeps_a_complete_checkpoint(tmp_path, monkeypatch):
+    # the older ckpt_<t> is moved aside, not deleted, before the new one is
+    # renamed into place: a failure between the two renames restores it
+    cfg = ring_cfg()
+    dsx, dsy = generate(RING_X), generate(RING_Y)
+    state = init_state(cfg, dsx, dsy)
+    root = save_checkpoint(state, cfg, RING_X, RING_Y, tmp_path)
+    old = {name: net.vector.tobytes() for name, net in state.nets().items()}
+    state.ebm_x.load(state.ebm_x.vector + np.float32(1.0))  # another state at the same iteration
+
+    real = type(root).rename
+    renames = []
+
+    def failing(self, target):
+        renames.append((self.name, type(root)(target).name))
+        if self.name == "ckpt_0.tmp":
+            raise OSError("injected failure before the new checkpoint is in place")
+        return real(self, target)
+
+    monkeypatch.setattr(type(root), "rename", failing)
+    with pytest.raises(OSError, match="injected"):
+        save_checkpoint(state, cfg, RING_X, RING_Y, tmp_path)
+    monkeypatch.undo()
+    assert renames == [("ckpt_0", "ckpt_0.old"), ("ckpt_0.tmp", "ckpt_0"), ("ckpt_0.old", "ckpt_0")]
+    loaded, *_ = load_checkpoint(root)
+    assert {name: net.vector.tobytes() for name, net in loaded.nets().items()} == old
+
+    save_checkpoint(state, cfg, RING_X, RING_Y, tmp_path)  # the next save clears the stale tmp
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_0"]
+    loaded, *_ = load_checkpoint(root)
+    assert loaded.ebm_x.vector.tobytes() == state.ebm_x.vector.tobytes()
 
 
 def test_load_rejects_a_truncated_parameter_file(tmp_path):
